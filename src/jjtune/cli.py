@@ -22,7 +22,7 @@ from .dose import DoseModel, JunctionState, StochasticParams, default_dose_model
 from .errors import DomainError, FitError, InfeasibleError, SchemaError
 from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
 from .physics import qubit_frequency
-from .streams import child_rng
+from .streams import child_rng, stream_rngs
 from .tls import extract_tls, fit_stark, simulate_map, time_average
 from .tuner import TunePolicy, allocate_targets, iterative_tune, recipe_for_shift, required_shift
 from .wafer import run_batch
@@ -42,6 +42,8 @@ class RunConfig:
 def _require_seed(config: RunConfig) -> int:
     if config.seed is None:
         raise SchemaError("--seed is required for stochastic commands")
+    if config.seed < 0:
+        raise SchemaError(f"--seed must be non-negative, got {config.seed}")
     return config.seed
 
 
@@ -278,29 +280,33 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
             ),
         )
     by_id = {j.id: j for j in wafer.junctions}
-    raw_entries = plan.get("junctions")
+    raw_entries = plan.get("junctions") if isinstance(plan, dict) else None
     if not isinstance(raw_entries, list):
         raise SchemaError("plan.junctions: missing or not a list")
-    traces = []
+    ids, targets = [], []
     for index, entry in enumerate(raw_entries):
         path = f"plan.junctions[{index}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: expected an object")
         jid = entry.get("id")
         if jid not in by_id:
             raise SchemaError(f"{path}.id: junction {jid!r} is not on the wafer")
         target = entry.get("f_target_ghz")
         if isinstance(target, bool) or not isinstance(target, (int, float)):
             raise SchemaError(f"{path}.f_target_ghz: expected a number")
-        record = by_id[jid]
-        traces.append(
-            iterative_tune(
-                JunctionState(resistance=record.resistance),
-                float(target) * 1e9,
-                policy=policy,
-                model=model,
-                rng=child_rng(seed, jid),
-                junction_id=jid,
-            )
+        ids.append(jid)
+        targets.append(float(target) * 1e9)
+    traces = [
+        iterative_tune(
+            JunctionState(resistance=by_id[jid].resistance),
+            target,
+            policy=policy,
+            model=model,
+            rng=rng,
+            junction_id=jid,
         )
+        for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
+    ]
     directory = _out_dir(config)
     doc = jio.traces_to_doc(traces)
     jio.write_json(os.path.join(directory, "traces.json"), doc)

@@ -51,6 +51,7 @@ __all__ = [
     "displacement_response",
     "exposure_factor",
     "mean_shift",
+    "realized_shift",
     "apply_anneal",
     "default_dose_model",
 ]
@@ -281,12 +282,24 @@ def _coupling(displacement: float, model: DoseModel) -> float:
     )
 
 
-def mean_shift(recipe: LasingRecipe, model: DoseModel = DoseModel()) -> float:
-    """Expected fractional resistance shift for a recipe (noise-free)."""
-    effective_power = recipe.power * _coupling(recipe.displacement, model)
+def mean_shift(
+    recipe: LasingRecipe, model: DoseModel = DoseModel(), beam_offset: float = 0.0
+) -> float:
+    """Expected fractional resistance shift for a recipe (noise-free).
+
+    ``beam_offset`` (um, non-negative) is added to the recipe's displacement,
+    e.g. a visit's centering error.
+    """
+    effective_power = recipe.power * _coupling(recipe.displacement + beam_offset, model)
     temperature = junction_temperature(effective_power, model.heating)
     saturated = mean_shift_vs_temperature(temperature, model.response)
     return saturated * exposure_factor(recipe.exposure, recipe.repetitions, model.response)
+
+
+def realized_shift(mu: float, eps: float, stochastic: StochasticParams) -> float:
+    """Shot shift for commanded mean ``mu`` and a standard-normal draw ``eps``:
+    scattered relative to ``mu``, floored at ``shift_floor``."""
+    return max(mu * (1.0 + stochastic.relative_sigma * eps), stochastic.shift_floor)
 
 
 def apply_anneal(
@@ -301,9 +314,8 @@ def apply_anneal(
     relative_sigma * eps)), floored at shift_floor; a zero-dose shot is
     exactly a no-op.
     """
-    mu = mean_shift(recipe, model)
-    draw = mu * (1.0 + model.stochastic.relative_sigma * float(rng.standard_normal()))
-    shift = max(draw, model.stochastic.shift_floor)
+    eps = float(rng.standard_normal())
+    shift = realized_shift(mean_shift(recipe, model), eps, model.stochastic)
     return JunctionState(
         resistance=state.resistance * (1.0 + shift),
         history=state.history + (AnnealRecord(recipe=recipe, shift=shift),),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import tempfile
 from typing import Any, Sequence
@@ -88,15 +89,26 @@ def load_json(path: str) -> Any:
 
 # ------------------------------------------------------------- validation
 
-def _need(doc: dict, key: str, kind, path: str):
+_REQUIRED = object()
+
+
+def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
+    """Field ``key`` of ``doc`` checked as ``kind``; numbers must be finite.
+
+    A missing field is an error unless a ``default`` is given.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")
     if key not in doc:
-        raise SchemaError(f"{path}.{key}: missing required field")
+        if default is _REQUIRED:
+            raise SchemaError(f"{path}.{key}: missing required field")
+        return default
     value = doc[key]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{path}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -133,7 +145,7 @@ def wafer_from_doc(doc: dict) -> WaferLayout:
         resistance = _positive(
             _need(raw, "resistance_ohm", float, path), f"{path}.resistance_ohm"
         )
-        age = float(raw.get("age_days", 0.0))
+        age = _need(raw, "age_days", float, path, default=0.0)
         junctions.append(
             JunctionRecord(
                 id=jid,
@@ -180,8 +192,8 @@ def wafer_to_doc(wafer: WaferLayout) -> dict:
 def recipe_from_doc(doc: dict) -> LasingRecipe:
     power = _need(doc, "power_mw", float, "recipe")
     exposure = _need(doc, "exposure_s", float, "recipe")
-    repetitions = int(doc.get("repetitions", 1))
-    displacement = float(doc.get("displacement_um", 0.0))
+    repetitions = _need(doc, "repetitions", int, "recipe", default=1)
+    displacement = _need(doc, "displacement_um", float, "recipe", default=0.0)
     try:
         return LasingRecipe(
             power=power, exposure=exposure, repetitions=repetitions, displacement=displacement

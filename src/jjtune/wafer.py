@@ -15,14 +15,14 @@ junction so results do not depend on processing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .dose import DoseModel, JunctionState, LasingRecipe, apply_anneal, mean_shift
+from .dose import DoseModel, LasingRecipe, mean_shift, realized_shift
 from .errors import DomainError
-from .streams import child_rng
+from .streams import stream_rngs
 
 __all__ = [
     "WaferLayout",
@@ -183,22 +183,32 @@ def alignment_score(centering: float, focus: float, noise: StageNoise) -> float:
     )
 
 
+def _visit_errors(eps_center: float, eps_focus: float, noise: StageNoise) -> tuple[float, float]:
+    """Centering and focus errors (um) from two standard-normal draws."""
+    return abs(noise.sigma_center * eps_center), abs(noise.sigma_focus * eps_focus)
+
+
 def simulate_alignment(
     junction: JunctionRecord,
     noise: StageNoise,
     rng: np.random.Generator,
 ) -> AlignmentResult:
     """Draw one visit's centering and focus errors and score them."""
-    centering = abs(noise.sigma_center * float(rng.standard_normal()))
-    focus = abs(noise.sigma_focus * float(rng.standard_normal()))
+    centering, focus = _visit_errors(
+        float(rng.standard_normal()), float(rng.standard_normal()), noise
+    )
     score = alignment_score(centering, focus, noise)
     return AlignmentResult(centering_offset=centering, focus_error=focus, qc_score=score)
 
 
-def qc_gate(result: AlignmentResult, threshold: float = 0.97) -> QcStatus:
-    """Gate a visit on its alignment score; the boundary passes."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold <= 1.0:
         raise DomainError(f"threshold must be in (0, 1], got {threshold!r}")
+
+
+def qc_gate(result: AlignmentResult, threshold: float = 0.97) -> QcStatus:
+    """Gate a visit on its alignment score; the boundary passes."""
+    _check_threshold(threshold)
     return "passed" if result.qc_score >= threshold else "excluded"
 
 
@@ -212,39 +222,31 @@ def run_batch(
 ) -> BatchReport:
     """Anneal every QC-passing junction on the wafer, one shot each.
 
-    Per junction: derive its private random stream, simulate the alignment
-    visit, gate it, and if passed run the anneal with the centering error
-    added to the recipe displacement. Excluded junctions keep their
-    resistance and are reported, never dropped. The report is sorted by id
-    and is bit-identical under any processing order of the input.
+    Per junction: take three standard-normal draws from its private random
+    stream (centering, focus, shot scatter), score and gate the alignment
+    visit, and if passed run the anneal with the centering error added to
+    the recipe displacement. Excluded junctions keep their resistance and
+    are reported, never dropped. The report is sorted by id and is
+    bit-identical under any processing order of the input.
     """
+    _check_threshold(qc_threshold)
+    junctions = wafer.junctions
     rows = []
-    for junction in wafer.junctions:
-        rng = child_rng(master_seed, junction.id)
-        visit = simulate_alignment(junction, stage_noise, rng)
-        status = qc_gate(visit, qc_threshold)
-        if status == "passed":
-            shot = replace(recipe, displacement=recipe.displacement + visit.centering_offset)
-            state = apply_anneal(JunctionState(resistance=junction.resistance), shot, rng, model)
-            r_after = state.resistance
-            shift = state.history[-1].shift
+    for junction, rng in zip(junctions, stream_rngs(master_seed, [j.id for j in junctions])):
+        eps_center, eps_focus, eps_shot = rng.standard_normal(3).tolist()
+        centering, focus = _visit_errors(eps_center, eps_focus, stage_noise)
+        r_before = junction.resistance
+        if alignment_score(centering, focus, stage_noise) >= qc_threshold:
+            mu = mean_shift(recipe, model, beam_offset=centering)
+            shift = realized_shift(mu, eps_shot, model.stochastic)
+            rows.append(BatchRow(junction.id, r_before, r_before * (1.0 + shift), "passed", shift))
         else:
-            r_after = junction.resistance
-            shift = 0.0
-        rows.append(
-            BatchRow(
-                id=junction.id,
-                r_before=junction.resistance,
-                r_after=r_after,
-                qc_status=status,
-                shift_frac=shift,
-            )
-        )
+            rows.append(BatchRow(junction.id, r_before, r_before, "excluded", 0.0))
     rows.sort(key=lambda row: row.id)
     return BatchReport(
         wafer_id=wafer.wafer_id,
         entries=tuple(rows),
-        estimated_wall_time_s=SECONDS_PER_JUNCTION * len(wafer.junctions),
+        estimated_wall_time_s=SECONDS_PER_JUNCTION * len(junctions),
         master_seed=master_seed,
     )
 
@@ -267,23 +269,16 @@ def synthesize_wafer(
     if rows < 1 or cols < 1:
         raise DomainError("grid must have at least one site")
     width = len(str(rows * cols - 1))
+    ids = [f"{wafer_id}-J{index:0{width}d}" for index in range(rows * cols)]
     junctions = []
-    for r in range(rows):
-        for c in range(cols):
-            index = r * cols + c
-            jid = f"{wafer_id}-J{index:0{width}d}"
-            rng = child_rng(seed, jid)
-            resistance = base_resistance * math.exp(
-                resistance_sigma * float(rng.standard_normal())
+    for index, (jid, rng) in enumerate(zip(ids, stream_rngs(seed, ids))):
+        r, c = divmod(index, cols)
+        resistance = base_resistance * math.exp(resistance_sigma * float(rng.standard_normal()))
+        junctions.append(
+            JunctionRecord(
+                id=jid, design_xy=(c * pitch, r * pitch), area=area, resistance=resistance
             )
-            junctions.append(
-                JunctionRecord(
-                    id=jid,
-                    design_xy=(c * pitch, r * pitch),
-                    area=area,
-                    resistance=resistance,
-                )
-            )
+        )
     return WaferLayout(
         wafer_id=wafer_id, rows=rows, cols=cols, pitch=pitch, junctions=tuple(junctions)
     )

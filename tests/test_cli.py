@@ -62,6 +62,41 @@ class TestSimulateWafer:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+        out = tmp_path / "out"
+        code = main([
+            "--seed", "-1", "--output", str(out),
+            "simulate-wafer", write_wafer(tmp_path, wafer), write_recipe(tmp_path),
+        ])
+        assert code == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_resistance_is_input_error(self, tmp_path, capsys):
+        wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+        doc = jio.wafer_to_doc(wafer)
+        doc["junctions"][1]["resistance_ohm"] = float("nan")
+        path = tmp_path / "wafer.json"
+        jio.write_json(str(path), doc)
+        out = tmp_path / "out"
+        code = main([
+            "--seed", "1", "--output", str(out), "simulate-wafer", str(path),
+            write_recipe(tmp_path),
+        ])
+        assert code == 2
+        assert "junctions[1].resistance_ohm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_repetitions_is_input_error(self, tmp_path, capsys):
+        wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+        wpath = write_wafer(tmp_path, wafer)
+        for value in ("x", 2.7):
+            path = tmp_path / "recipe.json"
+            jio.write_json(str(path), {"power_mw": 40.0, "exposure_s": 60.0, "repetitions": value})
+            assert main(["--seed", "1", "simulate-wafer", wpath, str(path)]) == 2
+            assert "recipe.repetitions" in capsys.readouterr().err
+
     def test_bad_wafer_doc_names_the_field(self, tmp_path, capsys):
         doc = {
             "wafer_id": "W", "rows": 1, "cols": 1, "pitch_um": 50.0,
@@ -308,6 +343,24 @@ class TestTune:
         ]) == 0
         text = (out / "traces.csv").read_text()
         assert text.splitlines()[0].startswith("junction_id,iteration,")
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        wpath, ppath = self._setup(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--seed", "-3", "--output", str(out), "tune", wpath, ppath]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"junctions": ["W-J0"]}, "plan.junctions[0]: expected an object"),
+        ([], "plan.junctions: missing or not a list"),
+    ])
+    def test_plan_shape_is_input_error(self, tmp_path, capsys, plan, message):
+        wpath, _ = self._setup(tmp_path)
+        ppath = tmp_path / "bad_plan.json"
+        ppath.write_text(json.dumps(plan))
+        assert main(["--seed", "3", "tune", wpath, str(ppath)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_plan_with_unknown_junction(self, tmp_path, capsys):
         wpath, _ = self._setup(tmp_path)

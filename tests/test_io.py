@@ -83,6 +83,20 @@ class TestWaferDocs:
         with pytest.raises(SchemaError, match="must be positive"):
             jio.wafer_from_doc(doc)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["resistance_ohm", "area_um2", "age_days"])
+    def test_non_finite_number_rejected(self, field, value):
+        doc = self._doc()
+        doc["junctions"][0][field] = value
+        with pytest.raises(SchemaError, match=rf"junctions\[0\]\.{field}: expected a finite"):
+            jio.wafer_from_doc(doc)
+
+    def test_non_finite_pitch_rejected(self):
+        doc = self._doc()
+        doc["pitch_um"] = math.inf
+        with pytest.raises(SchemaError, match="wafer.pitch_um"):
+            jio.wafer_from_doc(doc)
+
     def test_duplicate_ids_rejected(self):
         doc = self._doc()
         doc["junctions"].append(dict(doc["junctions"][0], row=1))
@@ -110,6 +124,24 @@ class TestRecipeDocs:
             jio.recipe_from_doc({"power_mw": -5.0, "exposure_s": 60.0})
         with pytest.raises(SchemaError, match="exposure_s"):
             jio.recipe_from_doc({"power_mw": 40.0})
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["power_mw", "exposure_s", "displacement_um"])
+    def test_non_finite_number_rejected(self, field, value):
+        doc = {"power_mw": 40.0, "exposure_s": 60.0, field: value}
+        with pytest.raises(SchemaError, match=rf"recipe\.{field}: expected a finite"):
+            jio.recipe_from_doc(doc)
+
+    @pytest.mark.parametrize("value", ["x", 2.7, 2.0, True, None])
+    def test_repetitions_must_be_an_integer(self, value):
+        doc = {"power_mw": 40.0, "exposure_s": 60.0, "repetitions": value}
+        with pytest.raises(SchemaError, match="recipe.repetitions: expected an integer"):
+            jio.recipe_from_doc(doc)
+
+    def test_repetitions_below_one_rejected(self):
+        with pytest.raises(SchemaError, match="repetitions"):
+            jio.recipe_from_doc({"power_mw": 40.0, "exposure_s": 60.0, "repetitions": 0})
 
 
 class TestAgingCsv:

@@ -1,6 +1,7 @@
 """Wafer registration, alignment QC, and order-independent batch anneals."""
 
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import jjtune as jt
+import jjtune.io as jio
 from jjtune.dose import DoseModel, StochasticParams
 from jjtune.errors import DomainError
-from jjtune.streams import child_rng
+from jjtune.streams import CHUNK, child_rng
 
 MU_DEFAULT = 0.01747175742090387   # deterministic shift of the default recipe
 
@@ -220,6 +222,46 @@ class TestBatch:
         report = jt.run_batch(shuffled, jt.DEFAULT_RECIPE, master_seed=1)
         ids = [e.id for e in report.entries]
         assert ids == sorted(ids)
+
+
+    def test_chunk_boundaries_change_no_byte(self):
+        w = jt.synthesize_wafer("WC", 33, 33, 50.0, 7800.0, 0.01, seed=8)
+        assert len(w.junctions) > CHUNK
+        reversed_wafer = dataclasses.replace(w, junctions=w.junctions[::-1])
+        harsh = jt.StageNoise(sigma_center=0.3, sigma_focus=0.12)
+        a = jt.run_batch(w, jt.DEFAULT_RECIPE, master_seed=21, stage_noise=harsh)
+        b = jt.run_batch(reversed_wafer, jt.DEFAULT_RECIPE, master_seed=21, stage_noise=harsh)
+        assert jio.batch_report_csv(a) == jio.batch_report_csv(b)
+        assert json.dumps(jio.batch_report_to_doc(a)) == json.dumps(jio.batch_report_to_doc(b))
+
+    def test_matches_one_visit_and_one_shot_per_junction(self):
+        # The batch loop equals visiting and annealing each junction on its own.
+        w = jt.synthesize_wafer("WR", 6, 7, 50.0, 7800.0, 0.01, seed=3)
+        harsh = jt.StageNoise(sigma_center=0.3, sigma_focus=0.12)
+        recipe = jt.LasingRecipe(power=30.0, exposure=2.0, displacement=1.5)
+        report = jt.run_batch(w, recipe, master_seed=13, stage_noise=harsh)
+        by_id = {e.id: e for e in report.entries}
+        assert Counter(e.qc_status for e in report.entries)["excluded"] > 0
+        for junction in w.junctions:
+            rng = child_rng(13, junction.id)
+            visit = jt.simulate_alignment(junction, harsh, rng)
+            row = by_id[junction.id]
+            assert row.qc_status == jt.qc_gate(visit)
+            if row.qc_status == "passed":
+                shot = dataclasses.replace(
+                    recipe, displacement=recipe.displacement + visit.centering_offset
+                )
+                state = jt.apply_anneal(jt.JunctionState(junction.resistance), shot, rng)
+                assert (row.r_after, row.shift_frac) == (
+                    state.resistance, state.history[-1].shift
+                )
+            else:
+                assert (row.r_after, row.shift_frac) == (junction.resistance, 0.0)
+
+    def test_threshold_checked_before_any_visit(self):
+        w = jt.WaferLayout(wafer_id="WT", rows=1, cols=1, pitch=50.0, junctions=())
+        with pytest.raises(DomainError, match="threshold"):
+            jt.run_batch(w, jt.DEFAULT_RECIPE, master_seed=1, qc_threshold=1.5)
 
 
 class TestChildStreams:
