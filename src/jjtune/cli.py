@@ -227,13 +227,13 @@ def _cmd_plan(args: argparse.Namespace, config: RunConfig) -> int:
         targets = []
         for j in junctions:
             value = mapping[j.id]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"targets.targets_ghz.{j.id}: expected a number")
+            if not jio.is_finite_number(value):
+                raise SchemaError(f"targets.targets_ghz.{j.id}: expected a finite number")
             targets.append(float(value) * 1e9)
     elif "min_spacing_mhz" in targets_doc:
         spacing = targets_doc["min_spacing_mhz"]
-        if isinstance(spacing, bool) or not isinstance(spacing, (int, float)) or spacing < 0:
-            raise SchemaError("targets.min_spacing_mhz: expected a non-negative number")
+        if not jio.is_finite_number(spacing) or spacing < 0:
+            raise SchemaError("targets.min_spacing_mhz: expected a finite non-negative number")
         targets = allocate_targets(freqs, float(spacing) * 1e6)
     else:
         raise SchemaError("targets: need either targets_ghz or min_spacing_mhz")
@@ -292,8 +292,8 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
         if jid not in by_id:
             raise SchemaError(f"{path}.id: junction {jid!r} is not on the wafer")
         target = entry.get("f_target_ghz")
-        if isinstance(target, bool) or not isinstance(target, (int, float)):
-            raise SchemaError(f"{path}.f_target_ghz: expected a number")
+        if not jio.is_finite_number(target):
+            raise SchemaError(f"{path}.f_target_ghz: expected a finite number")
         ids.append(jid)
         targets.append(float(target) * 1e9)
     traces = [

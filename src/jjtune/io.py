@@ -9,12 +9,14 @@ byte-identical. SCHEMAS.md documents each format.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
+import itertools
 import json
 import math
 import os
 import tempfile
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -35,8 +37,10 @@ from .wafer import BatchReport, JunctionRecord, WaferLayout
 
 __all__ = [
     "atomic_write_text",
+    "json_text",
     "write_json",
     "load_json",
+    "is_finite_number",
     "wafer_from_doc",
     "wafer_to_doc",
     "recipe_from_doc",
@@ -73,8 +77,83 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=32)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """C-backed encoder whose item separator breaks to ``depth`` indents.
+
+    Without ``indent`` json keeps its C encoder; the separator alone lays
+    out the items of one flat container exactly as ``indent=2`` would.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": "))
+
+
+def _nested(value: Any) -> bool:
+    """A non-empty dict, list or tuple: a value the indented layout opens up."""
+    return isinstance(value, _CONTAINERS) and bool(value)
+
+
+def _flat(values: Sequence) -> bool:
+    """True when no value is nested."""
+    return _SCALAR_TYPES.issuperset(map(type, values)) or not any(map(_nested, values))
+
+
+def _wrap(brackets: str, inner: str, depth: int) -> str:
+    """A container's items between its brackets, one per line, at ``depth``."""
+    return f"{brackets[0]}\n{_INDENT * (depth + 1)}{inner}\n{_INDENT * depth}{brackets[1]}"
+
+
+def _encode(value: Any, depth: int, markers: set) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``.
+
+    Flat containers and lists of flat dicts are one C encoder call each;
+    Python walks only the containers that hold other containers. Encoded
+    strings never contain a raw newline, so every ",\\n<pad>" in a C
+    encoder's output is an item separator.
+    """
+    if not _nested(value):
+        return _encoder(depth).encode(value)
+    is_dict = isinstance(value, dict)
+    brackets = "{}" if is_dict else "[]"
+    items = list(value.values()) if is_dict else value
+    if _flat(items):
+        return _wrap(brackets, _encoder(depth + 1).encode(value)[1:-1], depth)
+    if (not is_dict and set(map(type, value)) == {dict} and all(value)
+            and _flat(list(itertools.chain.from_iterable(map(dict.values, value))))):
+        # A list of non-empty flat dicts: one call, then break open the braces.
+        outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
+        text = _encoder(depth + 2).encode(value)[2:-2].replace(
+            "},\n" + inner + "{", f"\n{outer}}},\n{outer}{{\n{inner}")
+        return _wrap("[]", _wrap("{}", text, depth + 1), depth)
+    # Mixed: one call with every nested value as null, then splice them in.
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(value))
+    if is_dict:
+        items = [value[key] for key in sorted(value)]
+        stub = {key: None if _nested(v) else v for key, v in value.items()}
+    else:
+        stub = [None if _nested(v) else v for v in value]
+    separator = ",\n" + _INDENT * (depth + 1)
+    pieces = _encoder(depth + 1).encode(stub)[1:-1].split(separator)
+    for index, item in enumerate(items):
+        if _nested(item):
+            pieces[index] = pieces[index][: -len("null")] + _encode(item, depth + 1, markers)
+    markers.discard(id(value))
+    return _wrap(brackets, separator.join(pieces), depth)
+
+
+def json_text(doc: Any) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, mostly in C."""
+    return _encode(doc, 0, set()) + "\n"
+
+
 def write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(doc))
 
 
 def load_json(path: str) -> Any:
@@ -92,6 +171,16 @@ def load_json(path: str) -> Any:
 _REQUIRED = object()
 
 
+def is_finite_number(value: Any) -> bool:
+    """True for a number (not a bool) that is a finite float or fits in one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
     """Field ``key`` of ``doc`` checked as ``kind``; numbers must be finite.
 
@@ -107,7 +196,7 @@ def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{path}.{key}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        if not is_finite_number(value):
             raise SchemaError(f"{path}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
@@ -127,34 +216,50 @@ def _positive(value: float, label: str) -> float:
 
 # ----------------------------------------------------------------- wafer
 
+def _junction_fields(raw: dict, path: str, rows: int, cols: int) -> tuple:
+    """(id, row, col, area, resistance, age) of one junction, field by field."""
+    jid = _need(raw, "id", str, path)
+    row = _need(raw, "row", int, path)
+    col = _need(raw, "col", int, path)
+    if not 0 <= row < rows or not 0 <= col < cols:
+        raise SchemaError(f"{path}: site ({row}, {col}) is off the {rows}x{cols} grid")
+    area = _positive(_need(raw, "area_um2", float, path), f"{path}.area_um2")
+    resistance = _positive(_need(raw, "resistance_ohm", float, path), f"{path}.resistance_ohm")
+    age = _need(raw, "age_days", float, path, default=0.0)
+    return jid, row, col, area, resistance, age
+
+
 def wafer_from_doc(doc: dict) -> WaferLayout:
     wafer_id = _need(doc, "wafer_id", str, "wafer")
     rows = _need(doc, "rows", int, "wafer")
     cols = _need(doc, "cols", int, "wafer")
     pitch = _positive(_need(doc, "pitch_um", float, "wafer"), "wafer.pitch_um")
     raw_junctions = _need(doc, "junctions", list, "wafer")
+    inf = math.inf
     junctions = []
+    sites = set()
     for index, raw in enumerate(raw_junctions):
-        path = f"wafer.junctions[{index}]"
-        jid = _need(raw, "id", str, path)
-        row = _need(raw, "row", int, path)
-        col = _need(raw, "col", int, path)
-        if not 0 <= row < rows or not 0 <= col < cols:
-            raise SchemaError(f"{path}: site ({row}, {col}) is off the {rows}x{cols} grid")
-        area = _positive(_need(raw, "area_um2", float, path), f"{path}.area_um2")
-        resistance = _positive(
-            _need(raw, "resistance_ohm", float, path), f"{path}.resistance_ohm"
-        )
-        age = _need(raw, "age_days", float, path, default=0.0)
-        junctions.append(
-            JunctionRecord(
-                id=jid,
-                design_xy=(col * pitch, row * pitch),
-                area=area,
-                resistance=resistance,
-                age_days=age,
+        # One inline check accepts a well-formed junction; any other goes
+        # through _junction_fields, the one source of error messages.
+        get = raw.get if type(raw) is dict else {}.get
+        jid, row, col = get("id"), get("row"), get("col")
+        area, resistance, age = get("area_um2"), get("resistance_ohm"), get("age_days", 0.0)
+        if not (
+            type(jid) is str and type(row) is int and type(col) is int
+            and 0 <= row < rows and 0 <= col < cols
+            and type(area) is float and 0.0 < area < inf
+            and type(resistance) is float and 0.0 < resistance < inf
+            and type(age) is float and -inf < age < inf
+        ):
+            jid, row, col, area, resistance, age = _junction_fields(
+                raw, f"wafer.junctions[{index}]", rows, cols
             )
-        )
+        sites.add(row * cols + col)
+        if len(sites) <= index:
+            raise SchemaError(
+                f"wafer.junctions[{index}]: site ({row}, {col}) already holds a junction"
+            )
+        junctions.append(JunctionRecord(jid, (col * pitch, row * pitch), area, resistance, age))
     try:
         return WaferLayout(
             wafer_id=wafer_id, rows=rows, cols=cols, pitch=pitch, junctions=tuple(junctions)
@@ -213,18 +318,11 @@ def recipe_to_doc(recipe: LasingRecipe) -> dict:
 
 # ----------------------------------------------------------- batch report
 
+_REPORT_KEYS = ("id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac")
+
+
 def batch_report_to_doc(report: BatchReport) -> dict:
-    entries = [
-        {
-            "id": row.id,
-            "r_before_ohm": row.r_before,
-            "r_after_ohm": row.r_after,
-            "qc_status": row.qc_status,
-            "shift_frac": row.shift_frac,
-        }
-        for row in report.entries
-    ]
-    n_passed = sum(1 for row in report.entries if row.qc_status == "passed")
+    n_passed = sum(row.qc_status == "passed" for row in report.entries)
     return {
         "wafer_id": report.wafer_id,
         "master_seed": report.master_seed,
@@ -232,11 +330,16 @@ def batch_report_to_doc(report: BatchReport) -> dict:
         "n_junctions": len(report.entries),
         "n_passed": n_passed,
         "n_excluded": len(report.entries) - n_passed,
-        "junctions": entries,
+        "junctions": [
+            {"id": jid, "r_before_ohm": r_before, "r_after_ohm": r_after,
+             "qc_status": status, "shift_frac": shift}
+            for jid, r_before, r_after, status, shift in report.entries
+        ],
     }
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text; the writer renders floats with repr and None as an empty field."""
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -245,11 +348,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def batch_report_csv(report: BatchReport) -> str:
-    rows = [
-        [row.id, repr(row.r_before), repr(row.r_after), row.qc_status, repr(row.shift_frac)]
-        for row in report.entries
-    ]
-    return _csv_text(["id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac"], rows)
+    return _csv_text(_REPORT_KEYS, report.entries)
 
 
 # ------------------------------------------------------------- fit inputs
@@ -272,9 +371,12 @@ def _cell_float(row: dict, column: str, path: str, line: int) -> float:
     if raw is None or raw == "":
         raise SchemaError(f"{path}:{line}: empty value in column '{column}'")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise SchemaError(f"{path}:{line}: column '{column}' is not a number: {raw!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{line}: column '{column}' is not a finite number: {raw!r}")
+    return value
 
 
 def read_aging_csv(path: str) -> list[AgingSeries]:
@@ -400,11 +502,8 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
 
 def map_csv(spectro: SpectroMap) -> str:
     """Matrix CSV: offsets (MHz) across the header, times (hours) down."""
-    header = ["time_h"] + [repr(float(v) / 1e6) for v in spectro.freq_offsets]
-    rows = [
-        [repr(float(t))] + [repr(float(p)) for p in row]
-        for t, row in zip(spectro.times, spectro.population)
-    ]
+    header = ["time_h"] + [float(v) / 1e6 for v in spectro.freq_offsets]
+    rows = ([t, *row] for t, row in zip(spectro.times.tolist(), spectro.population.tolist()))
     return _csv_text(header, rows)
 
 
@@ -422,6 +521,13 @@ def read_map_csv(path: str) -> SpectroMap:
         population = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"{path}: malformed map matrix ({exc})")
+    if not (np.isfinite(offsets).all() and np.isfinite(times).all()
+            and np.isfinite(population).all()):
+        line = next(
+            n for n, row in enumerate(rows, start=1)
+            if not all(math.isfinite(float(v)) for v in (row[1:] if n == 1 else row))
+        )
+        raise SchemaError(f"{path}:{line}: map matrix holds a non-finite value")
     try:
         return SpectroMap(
             freq_offsets=offsets, times=times, population=population, wait_time=1.0
@@ -504,20 +610,19 @@ def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
 
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:
-    rows = []
-    for trace in traces:
-        for k, it in enumerate(trace.iterations):
-            rows.append(
-                [
-                    trace.junction_id,
-                    k,
-                    repr(it.measured_r),
-                    repr(it.inferred_f / 1e9),
-                    "" if it.recipe is None else repr(it.recipe.power),
-                    "" if it.sampled_shift is None else repr(it.sampled_shift),
-                    trace.outcome,
-                ]
-            )
+    rows = (
+        (
+            trace.junction_id,
+            k,
+            it.measured_r,
+            it.inferred_f / 1e9,
+            None if it.recipe is None else it.recipe.power,
+            it.sampled_shift,
+            trace.outcome,
+        )
+        for trace in traces
+        for k, it in enumerate(trace.iterations)
+    )
     return _csv_text(
         ["junction_id", "iteration", "measured_r_ohm", "inferred_f_ghz", "power_mw",
          "sampled_shift", "outcome"],

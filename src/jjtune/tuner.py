@@ -67,6 +67,9 @@ class TunePolicy:
     guard_fraction: float = 0.6
 
     def __post_init__(self) -> None:
+        for name in ("step_fraction", "tolerance", "measurement_noise_sigma", "guard_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if not 0.0 < self.step_fraction <= 1.0:
             raise DomainError("step_fraction must be in (0, 1]")
         if self.tolerance <= 0:
@@ -220,8 +223,8 @@ def iterative_tune(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if f_target <= 0:
-        raise DomainError("target frequency must be positive")
+    if not 0.0 < f_target < math.inf:
+        raise DomainError(f"target frequency must be positive and finite, got {f_target!r}")
 
     r_target = resistance_for_frequency(f_target, mat)
     f_aim = f_target * (1.0 + policy.guard_fraction * policy.tolerance)

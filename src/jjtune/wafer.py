@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .streams import stream_rngs
 __all__ = [
     "WaferLayout",
     "JunctionRecord",
-    "HistoryEvent",
     "AffineTransform",
     "AlignmentResult",
     "StageNoise",
@@ -46,14 +45,7 @@ __all__ = [
 
 SECONDS_PER_JUNCTION = 20.0
 
-QcStatus = Literal["pending", "passed", "excluded"]
-
-
-@dataclass(frozen=True)
-class HistoryEvent:
-    recipe: LasingRecipe
-    resistance: float
-    day: float
+QcStatus = Literal["passed", "excluded"]
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,6 @@ class JunctionRecord:
     area: float
     resistance: float
     age_days: float = 0.0
-    qc_status: QcStatus = "pending"
-    history: tuple[HistoryEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if self.resistance <= 0:
@@ -133,8 +123,9 @@ class StageNoise:
             raise DomainError("score constants must be positive")
 
 
-@dataclass(frozen=True)
-class BatchRow:
+class BatchRow(NamedTuple):
+    """One report line; the field order is the report CSV's column order."""
+
     id: str
     r_before: float
     r_after: float

@@ -108,6 +108,19 @@ class TestSimulateWafer:
         assert code == 2
         assert "resistance_ohm" in capsys.readouterr().err
 
+    def test_two_junctions_on_one_site_is_input_error(self, tmp_path, capsys):
+        wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+        doc = jio.wafer_to_doc(wafer)
+        doc["junctions"][3].update(row=0, col=1)
+        wpath = tmp_path / "wafer.json"
+        jio.write_json(str(wpath), doc)
+        out = tmp_path / "out"
+        code = main(["--seed", "5", "--output", str(out),
+                     "simulate-wafer", str(wpath), write_recipe(tmp_path)])
+        assert code == 2
+        assert "junctions[3]: site (0, 1) already holds a junction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_ceiling_recipe_is_infeasible(self, tmp_path, capsys):
         wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
         path = tmp_path / "recipe.json"
@@ -221,6 +234,23 @@ class TestFit:
         assert doc["defects"][0]["f_offset_mhz"] == pytest.approx(7.81, abs=0.1)
         assert "persistent defect" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("dose", "power_mw,shift_frac\n10,0.01\n20,nan\n30,0.03\n40,0.04\n",
+         ":3: column 'shift_frac' is not a finite number"),
+        ("aging", "junction_id,day,resistance_ohm,cohort,wafer\n"
+                  "J1,0,7800,annealed,W1\nJ1,10,inf,annealed,W1\n",
+         ":3: column 'resistance_ohm' is not a finite number"),
+        ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.5,0.5\n1.0,0.5,nan,0.5\n",
+         ":3: map matrix holds a non-finite value"),
+    ])
+    def test_non_finite_cell_is_input_error(self, tmp_path, capsys, kind, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", kind, str(data)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["fit", "sideways", str(tmp_path / "x.csv")])
@@ -292,6 +322,23 @@ class TestPlan:
         assert main(["--output", str(tmp_path / "p.json"), "plan", wpath, str(tpath)]) == 2
         assert "W-J1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_target_is_input_error(self, tmp_path, capsys, value):
+        wpath, wafer = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        tpath.write_text(json.dumps({"targets_ghz": {"W-J0": 5.0, "W-J1": value}}))
+        out = tmp_path / "p.json"
+        assert main(["--output", str(out), "plan", wpath, str(tpath)]) == 2
+        assert "targets.targets_ghz.W-J1: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_spacing_is_input_error(self, tmp_path, capsys):
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        tpath.write_text(json.dumps({"min_spacing_mhz": float("nan")}))
+        assert main(["--output", str(tmp_path / "p.json"), "plan", wpath, str(tpath)]) == 2
+        assert "min_spacing_mhz: expected a finite" in capsys.readouterr().err
+
     def test_targets_without_either_key(self, tmp_path, capsys):
         wpath, _ = self._spread_wafer(tmp_path)
         tpath = tmp_path / "targets.json"
@@ -361,6 +408,26 @@ class TestTune:
         ppath.write_text(json.dumps(plan))
         assert main(["--seed", "3", "tune", wpath, str(ppath)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_plan_target_is_input_error(self, tmp_path, capsys, value):
+        wpath, _ = self._setup(tmp_path)
+        ppath = tmp_path / "bad_plan.json"
+        ppath.write_text(json.dumps({"junctions": [{"id": "W-J0", "f_target_ghz": value}]}))
+        out = tmp_path / "out"
+        assert main(["--seed", "3", "--output", str(out), "tune", wpath, str(ppath)]) == 2
+        assert "plan.junctions[0].f_target_ghz: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--tolerance", "--step-fraction", "--measurement-noise-sigma",
+    ])
+    def test_non_finite_policy_is_input_error(self, tmp_path, capsys, flag):
+        wpath, ppath = self._setup(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--seed", "3", "--output", str(out), "tune", wpath, ppath, flag, "nan"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plan_with_unknown_junction(self, tmp_path, capsys):
         wpath, _ = self._setup(tmp_path)

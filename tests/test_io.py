@@ -6,11 +6,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import jjtune as jt
 import jjtune.io as jio
 from jjtune.dose import DoseModel, StochasticParams
 from jjtune.errors import InfeasibleError, SchemaError
+
+
+KEYS = st.text(max_size=6) | st.sampled_from(["}", "{", "},\n  {", "},\n    {", "\n", "é", "ключ", ""])
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+)
+FLAT = SCALARS | st.just([]) | st.just({}) | st.just(())
+FLAT_DICTS = st.lists(st.dictionaries(KEYS, FLAT, min_size=1, max_size=5), min_size=1, max_size=4)
+JSON_DOCS = st.recursive(
+    FLAT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=5)
+        | FLAT_DICTS
+        | FLAT_DICTS.map(tuple)
+    ),
+    max_leaves=40,
+)
 
 
 class TestJsonFiles:
@@ -39,6 +60,52 @@ class TestJsonFiles:
         path.write_text("{not json")
         with pytest.raises(SchemaError, match="invalid JSON"):
             jio.load_json(str(path))
+
+    @given(doc=JSON_DOCS)
+    def test_write_json_bytes_equal_indented_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        jio.write_json(str(path), doc)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_writer_keeps_dict_boundaries_inside_strings(self):
+        doc = {"a},\n    {": [{"}": "},\n    {", "x": []}, {"{": {}}], "z": [[{}], ()]}
+        assert jio.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("make", [
+        lambda: (lambda d: d.setdefault("self", d))({"a": 1}),
+        lambda: (lambda l: l.append([l]) or l)([1]),
+        lambda: (lambda d: d["k"].append({"b": d}) or d)({"k": [{"a": 1}]}),
+    ])
+    def test_circular_input_raises_value_error(self, make):
+        doc = make()
+        with pytest.raises(ValueError, match="Circular reference"):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match="Circular reference"):
+            jio.json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": {1, 2}},
+        {"a": [{"b": object()}], "c": [1]},
+        [{"x": 1}, {"x": np.int64(3)}],
+        {"nested": {"deep": [1, 2j]}},
+        {(1, 2): "tuple key"},
+        {"mixed": [1], 2: "unsortable keys"},
+    ])
+    def test_unserializable_input_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            jio.json_text(doc)
+
+
+GOOD_JUNCTION = {"id": "W-J0", "row": 1, "col": 0, "area_um2": 0.1,
+                 "resistance_ohm": 7800.0, "age_days": 2.5}
+JUNCTION_FIELDS = list(GOOD_JUNCTION)
+FIELD_VALUES = [
+    0, 1, 2, -1, 3, 0.0, -0.0, 1.0, 0.1, -0.5, 1e-300, 1e308,
+    math.nan, math.inf, -math.inf, True, False, None, "", "x", [], 10**400,
+]
 
 
 class TestWaferDocs:
@@ -102,6 +169,70 @@ class TestWaferDocs:
         doc["junctions"].append(dict(doc["junctions"][0], row=1))
         with pytest.raises(SchemaError, match="unique"):
             jio.wafer_from_doc(doc)
+
+    def test_duplicate_site_rejected(self):
+        doc = self._doc()
+        doc["junctions"].append(dict(doc["junctions"][0], id="W-J1"))
+        with pytest.raises(SchemaError, match=r"junctions\[1\]: site \(0, 0\) already holds"):
+            jio.wafer_from_doc(doc)
+
+    def test_integral_numbers_load_as_floats(self):
+        doc = self._doc()
+        doc["junctions"][0].update(area_um2=1, resistance_ohm=7800, age_days=3)
+        record = jio.wafer_from_doc(doc).junctions[0]
+        assert (record.area, record.resistance, record.age_days) == (1.0, 7800.0, 3.0)
+        assert all(type(v) is float for v in (record.area, record.resistance, record.age_days))
+
+    def _assert_inline_check_agrees(self, raw):
+        """wafer_from_doc equals the layout built through _junction_fields alone."""
+        doc = dict(self._doc(), junctions=[raw])
+        try:
+            expected = jio._junction_fields(raw, "wafer.junctions[0]", 2, 2)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as caught:
+                jio.wafer_from_doc(doc)
+            assert str(caught.value) == str(exc)
+            return
+        jid, row, col, area, resistance, age = expected
+        reference = jt.WaferLayout(
+            wafer_id="W", rows=2, cols=2, pitch=50.0,
+            junctions=(jt.JunctionRecord(jid, (col * 50.0, row * 50.0), area, resistance, age),),
+        )
+        layout = jio.wafer_from_doc(doc)
+        assert layout == reference
+        got, want = layout.junctions[0], reference.junctions[0]
+        assert [type(v) for v in dataclasses.astuple(got)] == [
+            type(v) for v in dataclasses.astuple(want)
+        ]
+
+    @pytest.mark.parametrize("value", FIELD_VALUES)
+    @pytest.mark.parametrize("field", JUNCTION_FIELDS)
+    def test_inline_check_agrees_on_each_field_value(self, field, value):
+        self._assert_inline_check_agrees(dict(GOOD_JUNCTION, **{field: value}))
+
+    @pytest.mark.parametrize("raw", [
+        *({k: v for k, v in GOOD_JUNCTION.items() if k != field} for field in JUNCTION_FIELDS),
+        [GOOD_JUNCTION], None, "W-J0", 3,
+    ])
+    def test_inline_check_agrees_on_missing_fields_and_non_objects(self, raw):
+        self._assert_inline_check_agrees(raw)
+
+    @given(changes=st.dictionaries(
+        st.sampled_from(JUNCTION_FIELDS), st.sampled_from(FIELD_VALUES), min_size=2, max_size=4,
+    ))
+    def test_inline_check_agrees_on_combined_changes(self, changes):
+        self._assert_inline_check_agrees(dict(GOOD_JUNCTION, **changes))
+
+    def test_inline_check_agrees_on_a_synthesized_wafer(self):
+        wafer = jt.synthesize_wafer("W7", 9, 11, 50.0, 7781.0, 0.03, seed=4)
+        doc = json.loads(json.dumps(jio.wafer_to_doc(wafer)))
+        records = []
+        for index, raw in enumerate(doc["junctions"]):
+            jid, row, col, area, resistance, age = jio._junction_fields(
+                raw, f"wafer.junctions[{index}]", 9, 11
+            )
+            records.append(jt.JunctionRecord(jid, (col * 50.0, row * 50.0), area, resistance, age))
+        assert jio.wafer_from_doc(doc).junctions == tuple(records)
 
 
 class TestRecipeDocs:
@@ -179,6 +310,13 @@ class TestAgingCsv:
         with pytest.raises(SchemaError, match=r":3:.*'day'"):
             jio.read_aging_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_number_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "aging.csv"
+        path.write_text(self.HEADER + f"J1,0,7800,annealed,W1,\nJ1,1,{cell},annealed,W1,\n")
+        with pytest.raises(SchemaError, match=r":3: column 'resistance_ohm' is not a finite"):
+            jio.read_aging_csv(str(path))
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "aging.csv"
         path.write_text("junction_id,day,resistance_ohm,cohort\nJ1,0,7800,annealed\n")
@@ -211,6 +349,13 @@ class TestColumnsCsv:
         with pytest.raises(SchemaError, match=r":3:"):
             jio.read_columns_csv(str(path), ["power_mw"])
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"power_mw\n10\n{cell}\n")
+        with pytest.raises(SchemaError, match=r":3: column 'power_mw' is not a finite number"):
+            jio.read_columns_csv(str(path), ["power_mw"])
+
 
 class TestMapCsv:
     def test_round_trip(self, tmp_path):
@@ -236,6 +381,17 @@ class TestMapCsv:
         path = tmp_path / "map.csv"
         path.write_text("time_h,-1.0,1.0\n0.0,0.5,oops\n")
         with pytest.raises(SchemaError, match="malformed map matrix"):
+            jio.read_map_csv(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("time_h,-1.0,1.0\n0.0,0.5,0.5\n1.0,nan,0.5\n", 3),
+        ("time_h,-1.0,1.0\ninf,0.5,0.5\n", 2),
+        ("time_h,-1.0,NaN\n0.0,0.5,0.5\n", 1),
+    ])
+    def test_non_finite_cell_rejected_with_line(self, tmp_path, text, line):
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=rf"map.csv:{line}: map matrix holds a non-finite"):
             jio.read_map_csv(str(path))
 
 
@@ -387,6 +543,26 @@ class TestDerivedDocs:
         # resistances survive the repr round trip bit-exactly
         first = lines[1].split(",")
         assert float(first[1]) == report.entries[0].r_before
+
+    def test_batch_report_csv_columns_follow_the_row_fields(self):
+        wafer = jt.synthesize_wafer("WB", 3, 3, 50.0, 7800.0, 0.01, seed=2)
+        report = jt.run_batch(wafer, jt.DEFAULT_RECIPE, master_seed=4)
+        lines = jio.batch_report_csv(report).splitlines()
+        assert jt.BatchRow._fields == ("id", "r_before", "r_after", "qc_status", "shift_frac")
+        for line, row in zip(lines[1:], report.entries):
+            assert line == ",".join([row.id, repr(row.r_before), repr(row.r_after),
+                                     row.qc_status, repr(row.shift_frac)])
+
+    def test_traces_csv_leaves_missing_values_empty(self):
+        hit, moved = self._traces()
+        lines = jio.traces_csv([hit, moved]).splitlines()
+        held = lines[1].split(",")
+        assert held[4] == "" and held[5] == ""
+        it = moved.iterations[0]
+        assert lines[2].split(",")[2:6] == [
+            repr(it.measured_r), repr(it.inferred_f / 1e9), repr(it.recipe.power),
+            repr(it.sampled_shift),
+        ]
 
     def test_plan_doc(self):
         doc = jio.plan_to_doc("W1", [{"id": "J0"}])

@@ -110,6 +110,14 @@ class TestIterativeTune:
         with pytest.raises(DomainError):
             jt.TunePolicy(guard_fraction=1.0)
 
+    @pytest.mark.parametrize("field", [
+        "step_fraction", "tolerance", "measurement_noise_sigma", "guard_fraction",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_policy_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            jt.TunePolicy(**{field: value})
+
     def test_already_on_target_converges_without_annealing(self):
         policy = jt.TunePolicy(measurement_noise_sigma=0.0)
         trace = jt.iterative_tune(
@@ -176,6 +184,11 @@ class TestIterativeTune:
     def test_nonpositive_target_refused(self):
         with pytest.raises(DomainError):
             jt.iterative_tune(jt.JunctionState(resistance=7781.0), 0.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_refused(self, target):
+        with pytest.raises(DomainError, match="finite"):
+            jt.iterative_tune(jt.JunctionState(resistance=7781.0), target)
 
 
 class TestAllocateTargets:
