@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as jio
 from .aging import fit_aging_samples
-from .dose import DoseModel, JunctionState, StochasticParams, default_dose_model
+from .dose import JunctionState, absorption_fraction, default_dose_model
 from .errors import DomainError, FitError, InfeasibleError, SchemaError
 from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
 from .physics import qubit_frequency
@@ -100,14 +100,9 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
     response = np.array([row[1] for row in rows])
     beam = default_dose_model().beam
 
-    def absorption(d: np.ndarray) -> np.ndarray:
-        on_metal = 0.5 * (
-            1.0 + np.array([math.erf(v) for v in np.sqrt(2.0) * (beam.electrode_extent - d) / beam.waist])
-        )
-        return (1.0 - beam.al_reflectance) * on_metal + (1.0 - beam.si_reflectance) * (1.0 - on_metal)
-
     def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return p[0] * absorption(d) * (np.exp(-d / p[1]) + p[2])
+        absorbed = np.array([absorption_fraction(v, beam) for v in d.tolist()])
+        return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
 
     names = ("scale", "decay_d0_um", "transfer_offset_b")
     spec = ModelSpec(
@@ -273,11 +268,7 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
     model = default_dose_model()
     if args.shot_noise_sigma is not None:
         model = replace(
-            model,
-            stochastic=StochasticParams(
-                relative_sigma=args.shot_noise_sigma,
-                shift_floor=model.stochastic.shift_floor,
-            ),
+            model, stochastic=replace(model.stochastic, relative_sigma=args.shot_noise_sigma)
         )
     by_id = {j.id: j for j in wafer.junctions}
     raw_entries = plan.get("junctions") if isinstance(plan, dict) else None
@@ -326,6 +317,8 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_tls_scan(args: argparse.Namespace, config: RunConfig) -> int:
     model = jio.noise_model_from_doc(jio.load_json(args.model))
     seed = _require_seed(config)
+    if not all(math.isfinite(v) for v in (args.f_min_mhz, args.f_max_mhz, args.f_step_mhz)):
+        raise SchemaError("--f-min-mhz, --f-max-mhz and --f-step-mhz must be finite")
     if args.f_max_mhz <= args.f_min_mhz:
         raise SchemaError("--f-max-mhz must exceed --f-min-mhz")
     if args.f_step_mhz <= 0:

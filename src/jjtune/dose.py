@@ -23,10 +23,8 @@ composed into ``mean_shift``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -67,20 +65,19 @@ class HeatingParams:
     ambient: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.slope <= 0:
-            raise DomainError("heating slope must be positive")
-
-
-def _tied_depth(plateau_m: float, t0: float, ambient: float) -> float:
-    return plateau_m * math.exp(ambient / t0)
+        if not 0.0 < self.slope < math.inf:
+            raise DomainError("heating slope must be positive and finite")
+        if not math.isfinite(self.ambient):
+            raise DomainError("ambient temperature must be finite")
 
 
 @dataclass(frozen=True)
 class DoseResponseParams:
     """Saturating plateau curve m - b * exp(-T / T0) plus exposure scale u0.
 
-    The default depth_b is tied to plateau_m * exp(ambient / T0) so the curve
-    passes exactly through zero at ambient temperature.
+    The default depth_b is tied to plateau_m * exp(ambient / T0), with the
+    HeatingParams default ambient, so the curve passes exactly through zero
+    at ambient temperature.
     """
 
     plateau_m: float = 0.018
@@ -89,12 +86,14 @@ class DoseResponseParams:
     depth_b: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if self.plateau_m <= 0 or self.char_temperature_t0 <= 0 or self.char_exposure_u0 <= 0:
-            raise DomainError("dose response scales must be positive")
+        scales = (self.plateau_m, self.char_temperature_t0, self.char_exposure_u0)
+        if not all(0.0 < v < math.inf for v in scales):
+            raise DomainError("dose response scales must be positive and finite")
+        if not math.isfinite(self.depth_b):
+            raise DomainError("depth_b must be finite")
         if self.depth_b == 0.0:
-            object.__setattr__(
-                self, "depth_b", _tied_depth(self.plateau_m, self.char_temperature_t0, 20.0)
-            )
+            tied = self.plateau_m * math.exp(HeatingParams.ambient / self.char_temperature_t0)
+            object.__setattr__(self, "depth_b", tied)
 
 
 @dataclass(frozen=True)
@@ -103,18 +102,16 @@ class BeamGeometry:
 
     waist is the 1/e^2 intensity radius in um; electrode_extent is the
     half-width of the metalized region along the displacement axis.
-    wavelength is fixed by the hardware and kept only for documentation.
     """
 
-    wavelength: float = 532.0
     waist: float = 0.81
     si_reflectance: float = 0.374
     al_reflectance: float = 0.92
     electrode_extent: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.waist <= 0 or self.electrode_extent < 0:
-            raise DomainError("beam geometry must have positive waist")
+        if not (0.0 < self.waist < math.inf and 0.0 <= self.electrode_extent < math.inf):
+            raise DomainError("beam geometry must have a positive finite waist and extent")
         for r in (self.si_reflectance, self.al_reflectance):
             if not 0.0 <= r < 1.0:
                 raise DomainError("reflectance must lie in [0, 1)")
@@ -129,8 +126,9 @@ class DisplacementParams:
     decay_d0: float = 9.5
 
     def __post_init__(self) -> None:
-        if min(self.transfer_amp_a, self.transfer_offset_b, self.decay_d0) <= 0:
-            raise DomainError("transfer parameters must be positive")
+        params = (self.transfer_amp_a, self.transfer_offset_b, self.decay_d0)
+        if not all(0.0 < v < math.inf for v in params):
+            raise DomainError("transfer parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -143,19 +141,21 @@ class LasingRecipe:
     displacement: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.power < 0:
+        if not self.power >= 0:
             raise DomainError(f"power must be non-negative, got {self.power!r}")
         if self.power >= POWER_LIMIT_MW:
             raise InfeasibleError(
                 f"power {self.power:.4g} mW is at or above the {POWER_LIMIT_MW:.0f} mW "
                 "lasing ceiling"
             )
-        if self.exposure <= 0:
-            raise DomainError(f"exposure must be positive, got {self.exposure!r}")
-        if self.repetitions < 1:
+        if not 0.0 < self.exposure < math.inf:
+            raise DomainError(f"exposure must be positive and finite, got {self.exposure!r}")
+        if not self.repetitions >= 1:
             raise DomainError(f"repetitions must be >= 1, got {self.repetitions!r}")
-        if self.displacement < 0:
-            raise DomainError(f"displacement must be non-negative, got {self.displacement!r}")
+        if not 0.0 <= self.displacement < math.inf:
+            raise DomainError(
+                f"displacement must be non-negative and finite, got {self.displacement!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,13 @@ class StochasticParams:
 
     relative_sigma: float = 0.01
     shift_floor: float = -0.005
+
+    def __post_init__(self) -> None:
+        for name in ("relative_sigma", "shift_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        if self.relative_sigma < 0:
+            raise DomainError("relative_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -180,19 +187,18 @@ class JunctionState:
     history: tuple[AnnealRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0:
-            raise DomainError("resistance must be positive")
+        if not 0.0 < self.resistance < math.inf:
+            raise DomainError("resistance must be positive and finite")
 
 
 @dataclass(frozen=True)
 class DoseModel:
-    """Bundle of every dose-related parameter set, as loaded from defaults."""
+    """Bundle of every dose-related parameter set; the defaults are the calibration."""
 
     heating: HeatingParams = HeatingParams()
     response: DoseResponseParams = DoseResponseParams()
     beam: BeamGeometry = BeamGeometry()
     displacement: DisplacementParams = DisplacementParams()
-    response_scale: float = 0.0404207352594069
     stochastic: StochasticParams = StochasticParams()
 
 
@@ -268,9 +274,9 @@ def exposure_factor(
     response: DoseResponseParams = DoseResponseParams(),
 ) -> float:
     """Saturating dose accumulation over total exposure time, in (0, 1]."""
-    if exposure <= 0:
-        raise DomainError(f"exposure must be positive, got {exposure!r}")
-    if repetitions < 1:
+    if not 0.0 < exposure < math.inf:
+        raise DomainError(f"exposure must be positive and finite, got {exposure!r}")
+    if not repetitions >= 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions!r}")
     return 1.0 - math.exp(-(exposure * repetitions) / response.char_exposure_u0)
 
@@ -323,36 +329,5 @@ def apply_anneal(
 
 
 def default_dose_model() -> DoseModel:
-    """Load the versioned calibration defaults shipped with the package."""
-    raw = json.loads(resources.files("jjtune.data").joinpath("dose_defaults.json").read_text())
-    heat = raw["heating"]
-    resp = raw["dose_response"]
-    beam = raw["beam"]
-    disp = raw["displacement"]
-    stoch = raw["stochastic"]
-    return DoseModel(
-        heating=HeatingParams(slope=heat["slope_c_per_mw"], ambient=heat["ambient_c"]),
-        response=DoseResponseParams(
-            plateau_m=resp["plateau_m"],
-            char_temperature_t0=resp["char_temperature_t0_c"],
-            char_exposure_u0=resp["char_exposure_u0_s"],
-            depth_b=resp["depth_b"],
-        ),
-        beam=BeamGeometry(
-            wavelength=beam["wavelength_nm"],
-            waist=beam["waist_um"],
-            si_reflectance=beam["si_reflectance"],
-            al_reflectance=beam["al_reflectance"],
-            electrode_extent=beam["electrode_extent_um"],
-        ),
-        displacement=DisplacementParams(
-            transfer_amp_a=disp["transfer_amp_a"],
-            transfer_offset_b=disp["transfer_offset_b"],
-            decay_d0=disp["decay_d0_um"],
-        ),
-        response_scale=raw["response_scale"],
-        stochastic=StochasticParams(
-            relative_sigma=stoch["relative_sigma"],
-            shift_floor=stoch["shift_floor"],
-        ),
-    )
+    """The calibrated dose model: the ``DoseModel`` field defaults."""
+    return DoseModel()

@@ -149,11 +149,13 @@ def fit_curve(
     if n < p.size:
         raise DomainError(f"{n} points cannot constrain {p.size} parameters")
 
-    def residuals(pv: np.ndarray) -> np.ndarray:
-        r = y - _evaluate(model, pv, x)
-        return r if w is None else w * r
+    def evaluate(pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = _evaluate(model, pv, x)
+        r = y - f
+        return f, (r if w is None else w * r)
 
-    r = residuals(p)
+    # f0 is the model at p, kept from the evaluation that produced r.
+    f0, r = evaluate(p)
     cost = float(r @ r)
     lam = options.damping_init
     converged = False
@@ -162,7 +164,6 @@ def fit_curve(
 
     for _ in range(options.max_iterations):
         iterations += 1
-        f0 = _evaluate(model, p, x)
         jac = _jacobian(model, p, x, f0)
         if w is not None:
             jac = jac * w[:, None]
@@ -180,11 +181,11 @@ def fit_curve(
                 continue
             trial = _clamp(p + step, model.bounds)
             moved = trial - p
-            r_trial = residuals(trial)
+            f_trial, r_trial = evaluate(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
                 rel = float(np.max(np.abs(moved) / (np.abs(p) + 1e-300)))
-                p, r, cost = trial, r_trial, cost_trial
+                p, f0, r, cost = trial, f_trial, r_trial, cost_trial
                 lam = max(lam / options.damping_down, 1e-15)
                 accepted = True
                 if rel < options.tolerance:
@@ -199,7 +200,6 @@ def fit_curve(
             break
 
     if jac is None:  # max_iterations == 0 guard; report at the initial point
-        f0 = _evaluate(model, p, x)
         jac = _jacobian(model, p, x, f0)
         if w is not None:
             jac = jac * w[:, None]

@@ -319,8 +319,8 @@ def simulate_map(
     offsets = np.asarray(list(freq_offsets), dtype=float)
     if offsets.size == 0:
         raise DomainError("offset grid must be non-empty")
-    if duration <= 0 or step <= 0 or wait <= 0:
-        raise DomainError("duration, step and wait must be positive")
+    if not all(0.0 < v < math.inf for v in (duration, step, wait)):
+        raise DomainError("duration, step and wait must be positive and finite")
     if not 0.0 <= dropout_probability < 1.0:
         raise DomainError("dropout probability must be in [0, 1)")
     n_rows = max(int(round(duration * 3600.0 / step)), 1)
@@ -416,8 +416,8 @@ def extract_tls(
         raise DomainError("profile and offset grid sizes differ")
     if np.any(prof <= 0):
         raise DomainError("profile must be strictly positive to infer rates")
-    if wait <= 0:
-        raise DomainError("wait must be positive")
+    if not 0.0 < wait < math.inf:
+        raise DomainError("wait must be positive and finite")
     rates = -np.log(prof) / wait
 
     found: list[FitResult] = []

@@ -30,6 +30,7 @@ from .dose import (
     JunctionState,
     LasingRecipe,
     apply_anneal,
+    exposure_factor,
     mean_shift,
 )
 from .errors import DomainError, InfeasibleError
@@ -116,11 +117,6 @@ def required_shift(
     return resistance_for_frequency(f_target, mat) / resistance_for_frequency(f_now, mat) - 1.0
 
 
-def _saturation(model: DoseModel, exposure: float, repetitions: int = 1) -> float:
-    u0 = model.response.char_exposure_u0
-    return 1.0 - math.exp(-(exposure * repetitions) / u0)
-
-
 def power_for_shift(
     target_shift: float,
     model: DoseModel = DoseModel(),
@@ -135,7 +131,7 @@ def power_for_shift(
         raise DomainError("target shift must be non-negative")
     if target_shift == 0.0:
         return 0.0
-    plateau = model.response.plateau_m * _saturation(model, exposure)
+    plateau = model.response.plateau_m * exposure_factor(exposure, 1, model.response)
     if target_shift >= plateau:
         raise InfeasibleError(
             f"shift {target_shift:.6g} is at or above the single-shot "
@@ -172,6 +168,10 @@ def recipe_for_shift(
     exact trimming shot, composed multiplicatively. Targets needing more
     than max_shots raise with the achievable bound.
     """
+    if max_shots < 1:
+        raise DomainError(f"max_shots must be at least 1, got {max_shots!r}")
+    if not 0.0 < exposure < math.inf:
+        raise DomainError(f"exposure must be positive and finite, got {exposure!r}")
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
     if target_shift == 0.0:

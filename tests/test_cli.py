@@ -251,6 +251,23 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text, flags, message", [
+        ("displacement", "displacement_um,response_frac\n0,0.01\n-1,0.02\n2,0.01\n3,0.005\n",
+         [], "displacement must be non-negative"),
+        ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
+         ["--wait-us", "nan"], "wait must be positive and finite"),
+        ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
+         ["--wait-us", "inf"], "wait must be positive and finite"),
+    ])
+    def test_out_of_domain_value_is_input_error(self, tmp_path, capsys, kind, text, flags,
+                                                message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", kind, str(data), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["fit", "sideways", str(tmp_path / "x.csv")])
@@ -330,6 +347,23 @@ class TestPlan:
         out = tmp_path / "p.json"
         assert main(["--output", str(out), "plan", wpath, str(tpath)]) == 2
         assert "targets.targets_ghz.W-J1: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--exposure-s", "nan"], "exposure must be positive and finite"),
+        (["--exposure-s", "inf"], "exposure must be positive and finite"),
+        (["--max-shots", "0"], "max_shots must be at least 1"),
+    ])
+    def test_bad_shot_flag_is_input_error(self, tmp_path, capsys, flags, message):
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        jio.write_json(str(tpath), {"targets_ghz": {
+            "W-J0": (jt.qubit_frequency(7781.0) - 20e6) / 1e9,
+            "W-J1": jt.qubit_frequency(8200.0) / 1e9,
+        }})
+        out = tmp_path / "p.json"
+        assert main(["--output", str(out), "plan", wpath, str(tpath), *flags]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_spacing_is_input_error(self, tmp_path, capsys):
@@ -420,7 +454,7 @@ class TestTune:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [
-        "--tolerance", "--step-fraction", "--measurement-noise-sigma",
+        "--tolerance", "--step-fraction", "--measurement-noise-sigma", "--shot-noise-sigma",
     ])
     def test_non_finite_policy_is_input_error(self, tmp_path, capsys, flag):
         wpath, ppath = self._setup(tmp_path)
@@ -476,3 +510,15 @@ class TestTlsScan:
         ])
         assert code == 2
         assert "f-max-mhz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--f-min-mhz", "nan"), ("--f-max-mhz", "nan"), ("--f-max-mhz", "inf"),
+        ("--f-step-mhz", "nan"), ("--duration-h", "nan"), ("--duration-h", "inf"),
+        ("--step-s", "nan"), ("--wait-us", "nan"), ("--wait-us", "inf"),
+    ])
+    def test_non_finite_flag_is_input_error(self, tmp_path, capsys, flag, value):
+        mpath = self._model_doc(tmp_path, [])
+        out = tmp_path / "scan"
+        assert main(["--seed", "11", "--output", str(out), "tls-scan", mpath, flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -95,6 +95,41 @@ def test_recipe_validation():
         jt.LasingRecipe(power=40.0, displacement=-0.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: jt.HeatingParams(slope=NAN),
+    lambda: jt.HeatingParams(slope=INF),
+    lambda: jt.HeatingParams(ambient=NAN),
+    lambda: jt.DoseResponseParams(plateau_m=NAN),
+    lambda: jt.DoseResponseParams(char_temperature_t0=INF),
+    lambda: jt.DoseResponseParams(char_exposure_u0=NAN),
+    lambda: jt.DoseResponseParams(depth_b=NAN),
+    lambda: jt.DoseResponseParams(depth_b=-INF),
+    lambda: jt.BeamGeometry(waist=NAN),
+    lambda: jt.BeamGeometry(waist=INF),
+    lambda: jt.BeamGeometry(electrode_extent=NAN),
+    lambda: jt.BeamGeometry(si_reflectance=NAN),
+    lambda: jt.DisplacementParams(transfer_amp_a=NAN),
+    lambda: jt.DisplacementParams(decay_d0=INF),
+    lambda: jt.LasingRecipe(power=NAN),
+    lambda: jt.LasingRecipe(power=40.0, exposure=NAN),
+    lambda: jt.LasingRecipe(power=40.0, exposure=INF),
+    lambda: jt.LasingRecipe(power=40.0, displacement=NAN),
+    lambda: jt.LasingRecipe(power=40.0, displacement=INF),
+    lambda: jt.StochasticParams(relative_sigma=NAN),
+    lambda: jt.StochasticParams(relative_sigma=INF),
+    lambda: jt.StochasticParams(relative_sigma=-0.01),
+    lambda: jt.StochasticParams(shift_floor=NAN),
+    lambda: jt.JunctionState(resistance=NAN),
+    lambda: jt.JunctionState(resistance=INF),
+])
+def test_dose_dataclasses_reject_non_finite_fields(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 @given(st.floats(min_value=0.0, max_value=49.9))
 def test_mean_shift_bounded_by_plateau(power):
     mu = jt.mean_shift(jt.LasingRecipe(power=power))
@@ -209,6 +244,11 @@ def test_shot_noise_floor_binds():
     ]
     assert min(lows) >= wild.stochastic.shift_floor
     assert min(lows) == wild.stochastic.shift_floor  # the floor actually engages
+
+
+def test_depth_b_ties_to_default_ambient():
+    response = jt.DoseResponseParams(plateau_m=0.02, char_temperature_t0=30.0)
+    assert response.depth_b == 0.02 * math.exp(jt.HeatingParams().ambient / 30.0)
 
 
 def test_packaged_defaults_match_code_defaults():

@@ -49,6 +49,39 @@ def test_determinism():
     assert f1.iterations == f2.iterations
 
 
+def test_each_iteration_reuses_the_accepted_evaluation():
+    # Every step of this noiseless fit is accepted, so the model runs once at
+    # the start, then per iteration once per Jacobian column and once for the
+    # trial; the trial's values are reused as the next iteration's base point.
+    calls = []
+
+    def counting(p, x):
+        calls.append(tuple(p.tolist()))
+        return _exp_model(p, x)
+
+    x = np.linspace(0.0, 30.0, 12)
+    y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
+    fit = fit_curve(ModelSpec(counting, ("a", "b", "tau")), Dataset(x, y), [0.3, 0.3, 5.0])
+    assert fit.converged
+    assert len(calls) == 1 + fit.iterations * 4
+    assert len(set(calls)) == len(calls)
+
+
+def test_noisy_fit_is_pinned_bit_for_bit():
+    rng = np.random.default_rng(2)
+    x = np.linspace(0.0, 30.0, 25)
+    y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.003, x.size)
+    fit = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
+    assert [v.hex() for v in fit.params.tolist()] == [
+        "0x1.ac0ceff733807p-3", "0x1.ec60d9f8da4a5p-4", "0x1.4209c57b54419p+3",
+    ]
+    assert [v.hex() for v in fit.std_errors.tolist()] == [
+        "0x1.f06e3ce841128p-10", "0x1.06adc54af1eb4p-9", "0x1.fdddd87de7829p-2",
+    ]
+    assert fit.residual_norm.hex() == "0x1.97b6248c8acf7p-7"
+    assert (fit.iterations, fit.converged) == (9, True)
+
+
 def test_non_finite_model_raises():
     spec = ModelSpec(lambda p, x: np.log(p[0] - x), ("edge",))
     with np.errstate(invalid="ignore"):

@@ -1,4 +1,4 @@
-"""Golden digests: the exact bytes of small simulate-wafer, plan and tune runs.
+"""Golden digests: the exact bytes of small simulate-wafer, plan, tune and fit runs.
 
 The digests pin every byte the CLI writes for these inputs: number
 formatting, key order, indentation and CSV quoting as well as every random
@@ -9,6 +9,7 @@ these digests on purpose.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -55,3 +56,76 @@ def test_cli_outputs_match_golden_digests(tmp_path):
                  "tune", wafer_path, plan_path]) == 0
 
     assert {name: _digest(out / name) for name in GOLDEN} == GOLDEN
+
+
+def _write_rows(path, header, rows):
+    path.write_text(
+        "\n".join([",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows])
+        + "\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_short_exposure_plan_matches_golden_digest(tmp_path):
+    # At 1 s the exposure factor is ~0.49, so every shot's power depends on it.
+    wafer = jt.synthesize_wafer("WS", 3, 4, 50.0, 7781.0, 0.03, seed=23)
+    rng = np.random.default_rng(4)
+    targets = {
+        j.id: (qubit_frequency(j.resistance) - float(rng.uniform(5e6, 150e6)) * (k > 0)) / 1e9
+        for k, j in enumerate(wafer.junctions)
+    }
+    wafer_path = _dump(tmp_path / "wafer.json", jio.wafer_to_doc(wafer))
+    targets_path = _dump(tmp_path / "targets.json", {"targets_ghz": targets})
+    out = tmp_path / "plan.json"
+    assert main(["--output", str(out), "plan", wafer_path, targets_path,
+                 "--exposure-s", "1.0"]) == 0
+    assert _digest(out) == "6a0eb68f118f366c6ed4485adbb4d5640870b87a51b1f728bcbcb11cd5a49f53"
+
+
+def test_dose_and_displacement_fits_match_golden_digests(tmp_path):
+    rng = np.random.default_rng(31)
+    powers = np.linspace(4.0, 46.0, 15)
+    shifts = 0.018 * (1.0 - np.exp(-2.47 * powers / 28.0))
+    shifts = shifts * (1.0 + 0.03 * rng.standard_normal(powers.size))
+    dose_csv = _write_rows(tmp_path / "dose.csv", ["power_mw", "shift_frac"],
+                           zip(powers, shifts))
+
+    displacement = np.linspace(0.0, 36.0, 19)
+    on_metal = np.array([0.5 * (1.0 + math.erf(math.sqrt(2.0) * (4.0 - d) / 0.81))
+                         for d in displacement])
+    absorbed = 0.08 * on_metal + 0.626 * (1.0 - on_metal)
+    response = 0.0404 * absorbed * (np.exp(-displacement / 9.5) + 0.002)
+    response = response * (1.0 + 0.03 * rng.standard_normal(displacement.size))
+    displacement_csv = _write_rows(tmp_path / "displacement.csv",
+                                   ["displacement_um", "response_frac"],
+                                   zip(displacement, response))
+
+    digests = {}
+    for kind, data in (("dose", dose_csv), ("displacement", displacement_csv)):
+        out = tmp_path / f"{kind}.json"
+        assert main(["--output", str(out), "fit", kind, data]) == 0
+        digests[kind] = _digest(out)
+    assert digests == {
+        "dose": "2ce8670cb5e3e48fb64a3a24b89cb46587e24ddc71c2ada19a056bcfedc85587",
+        "displacement": "bc50b7c9c380e877b61e50ba612a8a8a18dd872ffd8bd1e95a571b30caeef548",
+    }
+
+
+def test_multi_defect_tls_fit_matches_golden_digest(tmp_path):
+    rng = np.random.default_rng(43)
+    offsets_mhz = np.linspace(-12.0, 12.0, 49)
+    wait = 40e-6
+    rate = np.full(offsets_mhz.size, 21505.376344086024)
+    for center_mhz, g, gamma in ((-4.5, 76e3, 1e6), (6.0, 60e3, 0.8e6)):
+        delta = (offsets_mhz - center_mhz) * 1e6
+        rate = rate + 2.0 * gamma * g * g / (gamma * gamma + delta * delta)
+    rows = []
+    for k in range(12):
+        noisy = np.exp(-rate * wait) + 0.02 * rng.standard_normal(offsets_mhz.size)
+        rows.append([k / 6.0, *np.clip(noisy, 1e-3, 1.0)])
+    map_csv = _write_rows(tmp_path / "map.csv", ["time_h", *map(repr, offsets_mhz.tolist())],
+                          rows)
+    out = tmp_path / "defects.json"
+    assert main(["--output", str(out), "fit", "tls", map_csv, "--max-defects", "3"]) == 0
+    assert _digest(out) == "476babe51243975676d7d67b84801cb9796f6351870dd7e89c7dbb4dcedc6bc3"

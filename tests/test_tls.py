@@ -291,6 +291,16 @@ class TestSpectroMap:
         with pytest.raises(DomainError):
             jt.simulate_map(model, OFFSETS, 1.0, 60.0, WAIT, rng, dropout_probability=1.0)
 
+    @pytest.mark.parametrize("duration, step, wait", [
+        (math.nan, 60.0, WAIT), (math.inf, 60.0, WAIT),
+        (1.0, math.nan, WAIT), (1.0, math.inf, WAIT),
+        (1.0, 60.0, math.nan), (1.0, 60.0, math.inf),
+    ])
+    def test_map_rejects_non_finite_times(self, duration, step, wait):
+        with pytest.raises(DomainError, match="finite"):
+            jt.simulate_map(jt.QubitNoiseModel(), OFFSETS, duration, step, wait,
+                            np.random.default_rng(0))
+
     def test_dynamics_validation(self):
         with pytest.raises(DomainError):
             jt.TelegraphicDynamics(f_a=1e6, f_b=1e6, switch_rate=0.01)
@@ -369,6 +379,11 @@ class TestExtraction:
             jt.extract_tls(OFFSETS, np.zeros(OFFSETS.size), WAIT)
         with pytest.raises(DomainError):
             jt.extract_tls(OFFSETS, np.full(OFFSETS.size, 0.5), 0.0)
+
+    @pytest.mark.parametrize("wait", [math.nan, math.inf])
+    def test_non_finite_wait_refused(self, wait):
+        with pytest.raises(DomainError, match="finite"):
+            jt.extract_tls(OFFSETS, np.full(OFFSETS.size, 0.5), wait)
 
 
 class TestCoherence:

@@ -88,6 +88,17 @@ class TestRecipeForShift:
         with pytest.raises(InfeasibleError, match="achievable"):
             jt.recipe_for_shift(0.05, max_shots=1)
 
+    @pytest.mark.parametrize("target", [0.0, 0.005, 0.05])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_shots": 0}, "max_shots"),
+        ({"exposure": math.nan}, "exposure"),
+        ({"exposure": math.inf}, "exposure"),
+    ])
+    def test_bad_budget_or_exposure_is_refused(self, target, kwargs, message):
+        # Refused up front, also when no shot is needed.
+        with pytest.raises(DomainError, match=message):
+            jt.recipe_for_shift(target, **kwargs)
+
     @given(st.floats(min_value=1e-5, max_value=0.25))
     def test_composition_always_lands_on_target(self, target):
         shots = jt.recipe_for_shift(target)
