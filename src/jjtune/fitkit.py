@@ -5,14 +5,23 @@ classic multiply/divide damping schedule, box bounds enforced by clamping
 after accepted steps, and covariance from the final normal matrix. Running
 the same fit twice gives bit-identical results.
 
+Each iteration walks the damping ladder lam, lam*up, ... (below 1e14) until
+a trial lowers the cost. The first rung is solved alone, since most
+iterations accept it; the remaining rungs go to one stacked solve (of up to
+128 rungs, so one at any usual damping_up), which gives the same bits per
+matrix as solving them one by one. A trial that lands exactly on the
+current point (the step vanished under clamping or float resolution) is
+rejected without running the model.
+
 Every nonlinear fit in the package (dose plateau, aging, Lorentzian defect,
 Stark conversion, barrier thickness) goes through ``fit_curve``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +30,8 @@ from .errors import DomainError, FitEvaluationError
 __all__ = ["ModelSpec", "Dataset", "FitOptions", "FitResult", "fit_curve"]
 
 _EPS_STEP = float(np.sqrt(np.finfo(float).eps))
+_DAMPING_MAX = 1e14     # rungs at or above this are not tried
+_LADDER_CHUNK = 128     # rungs per stacked solve (bounds memory for a slow ladder)
 
 
 @dataclass(frozen=True)
@@ -65,27 +76,45 @@ class FitOptions:
     damping_down: float = 10.0
     rcond: float = 1e-12            # eigenvalue cutoff for the covariance
 
+    def __post_init__(self) -> None:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise DomainError(f"max_iterations must be an integer >= 0, got {n!r}")
+        for name, low, strict in (
+            ("tolerance", 0.0, False),
+            ("damping_init", 0.0, True),
+            ("damping_up", 1.0, True),
+            ("damping_down", 0.0, True),
+            ("rcond", 0.0, False),
+        ):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and (v > low if strict else v >= low)):
+                op = ">" if strict else ">="
+                raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
+
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted parameters and how the fit ended.
+
+    termination is "step_tolerance" (an accepted step moved every parameter
+    by less than the tolerance), "stalled" (no rung of the damping ladder
+    lowered the cost; reported as converged) or "max_iterations".
+    """
+
     params: np.ndarray
     std_errors: np.ndarray
     residual_norm: float
     converged: bool
     iterations: int
-
-
-def _clamp(p: np.ndarray, bounds) -> np.ndarray:
-    if bounds is None:
-        return p
-    lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
-    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
-    return np.minimum(np.maximum(p, lo), hi)
+    termination: str
 
 
 def _evaluate(model: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = np.asarray(model.evaluator(p, x), dtype=float)
-    if not np.all(np.isfinite(y)):
+    # A sum is finite only if every term is; an overflowing sum of finite
+    # values falls through to the full check.
+    if not math.isfinite(y.sum()) and not np.isfinite(y).all():
         raise FitEvaluationError(
             f"model returned non-finite values at parameters {p.tolist()}"
         )
@@ -95,12 +124,42 @@ def _evaluate(model: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _jacobian(model: ModelSpec, p: np.ndarray, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Forward differences, step scaled to each parameter's magnitude."""
     jac = np.empty((f0.size, p.size))
-    for j in range(p.size):
-        h = _EPS_STEP * max(abs(p[j]), 1.0)
+    for j, pj0 in enumerate(p.tolist()):
+        h = _EPS_STEP * max(abs(pj0), 1.0)
         pj = p.copy()
-        pj[j] += h
+        pj[j] = pj0 + h
         jac[:, j] = (_evaluate(model, pj, x) - f0) / h
     return jac
+
+
+def _damped_steps(
+    jtj: np.ndarray, grad: np.ndarray, diag: np.ndarray, lam: float, up: float
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (damping, step) for each rung lam, lam*up, ... below _DAMPING_MAX.
+
+    Lazily: the first rung is solved alone, later rungs in stacked solves.
+    When a stacked solve meets a singular matrix its rungs are solved one by
+    one and the singular ones are skipped.
+    """
+    scale = np.diag(diag)
+    rhs = grad[None, :, None]
+    size = 1
+    while lam < _DAMPING_MAX:
+        lams = []
+        while lam < _DAMPING_MAX and len(lams) < size:
+            lams.append(lam)
+            lam *= up
+        mats = jtj + np.array(lams)[:, None, None] * scale
+        try:
+            yield from zip(lams, np.linalg.solve(mats, rhs)[:, :, 0])
+        except np.linalg.LinAlgError:
+            for rung, mat in zip(lams, mats):
+                try:
+                    step = np.linalg.solve(mat, grad)
+                except np.linalg.LinAlgError:
+                    continue
+                yield rung, step
+        size = _LADDER_CHUNK
 
 
 def _covariance_std(jtj: np.ndarray, s2: float, rcond: float) -> np.ndarray:
@@ -141,7 +200,11 @@ def fit_curve(
     y = np.asarray(data.observations, dtype=float)
     w = None if data.weights is None else np.asarray(data.weights, dtype=float)
     n = y.size
-    p = _clamp(np.asarray(list(p0), dtype=float), model.bounds)
+    p = np.asarray(list(p0), dtype=float)
+    if model.bounds is not None:
+        lo = np.array([-np.inf if b[0] is None else b[0] for b in model.bounds])
+        hi = np.array([np.inf if b[1] is None else b[1] for b in model.bounds])
+        p = np.minimum(np.maximum(p, lo), hi)
     if p.size != len(model.parameter_names):
         raise DomainError(
             f"expected {len(model.parameter_names)} initial parameters, got {p.size}"
@@ -158,7 +221,7 @@ def fit_curve(
     f0, r = evaluate(p)
     cost = float(r @ r)
     lam = options.damping_init
-    converged = False
+    termination = "max_iterations"
     iterations = 0
     jac = None
 
@@ -172,31 +235,26 @@ def fit_curve(
         diag = np.diag(jtj).copy()
         diag[diag <= 0.0] = 1.0
 
-        accepted = False
-        while lam < 1e14:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                lam *= options.damping_up
-                continue
-            trial = _clamp(p + step, model.bounds)
-            moved = trial - p
+        here = p.tobytes()
+        for rung, step in _damped_steps(jtj, grad, diag, lam, options.damping_up):
+            trial = p + step
+            if model.bounds is not None:
+                trial = np.minimum(np.maximum(trial, lo), hi)
+            if trial.tobytes() == here:
+                continue  # same point, same cost: not an improvement
             f_trial, r_trial = evaluate(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
-                rel = float(np.max(np.abs(moved) / (np.abs(p) + 1e-300)))
+                rel = float(np.max(np.abs(trial - p) / (np.abs(p) + 1e-300)))
                 p, f0, r, cost = trial, f_trial, r_trial, cost_trial
-                lam = max(lam / options.damping_down, 1e-15)
-                accepted = True
-                if rel < options.tolerance:
-                    converged = True
+                lam = max(rung / options.damping_down, 1e-15)
                 break
-            lam *= options.damping_up
-        if not accepted:
+        else:
             # Damping exhausted: stationary within numerical resolution.
-            converged = True
+            termination = "stalled"
             break
-        if converged:
+        if rel < options.tolerance:
+            termination = "step_tolerance"
             break
 
     if jac is None:  # max_iterations == 0 guard; report at the initial point
@@ -211,6 +269,7 @@ def fit_curve(
         params=p,
         std_errors=std,
         residual_norm=float(np.sqrt(cost)),
-        converged=converged,
+        converged=termination != "max_iterations",
         iterations=iterations,
+        termination=termination,
     )

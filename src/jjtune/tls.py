@@ -359,7 +359,15 @@ def time_average(spectro: SpectroMap) -> np.ndarray:
 
 
 def _rate_model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return p[3] + _excess(x - p[0], p[1], p[2])
+    # p[3] + _excess(x - p[0], p[1], p[2]) with the same operations in the
+    # same order, computed in one buffer (the fit engine's hot loop).
+    f0, g, gamma, base = p.tolist()
+    out = np.subtract(x, f0)
+    np.square(out, out=out)
+    out += gamma * gamma
+    np.divide(2.0 * gamma * g * g, out, out=out)
+    out += base
+    return out
 
 
 def _fit_one_defect(offsets: np.ndarray, rates: np.ndarray) -> FitResult:
@@ -418,6 +426,8 @@ def extract_tls(
         raise DomainError("profile must be strictly positive to infer rates")
     if not 0.0 < wait < math.inf:
         raise DomainError("wait must be positive and finite")
+    if max_defects < 1:
+        raise DomainError(f"max_defects must be at least 1, got {max_defects!r}")
     rates = -np.log(prof) / wait
 
     found: list[FitResult] = []

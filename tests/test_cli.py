@@ -522,3 +522,25 @@ class TestTlsScan:
         assert main(["--seed", "11", "--output", str(out), "tls-scan", mpath, flag, value]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_fit_tls_max_defects_below_one_is_input_error(tmp_path, capsys, value):
+    data = tmp_path / "map.csv"
+    data.write_text("time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n")
+    out = tmp_path / "defects.json"
+    assert main(["--output", str(out), "fit", "tls", str(data), "--max-defects", value]) == 2
+    assert "max_defects must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_tls_scan_max_defects_below_one_is_input_error(tmp_path, capsys, value):
+    mpath = tmp_path / "model.json"
+    jio.write_json(str(mpath), {"gamma_1q_per_s": 21505.376344086024,
+                                "readout_noise_sigma": 0.02, "defects": []})
+    out = tmp_path / "scan"
+    assert main(["--seed", "11", "--output", str(out), "tls-scan", str(mpath),
+                 "--duration-h", "0.1", "--max-defects", value]) == 2
+    assert "max_defects must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

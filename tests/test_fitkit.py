@@ -159,3 +159,57 @@ def test_lorentzian_error_bars_have_coverage():
         assert fit.converged
         covered += np.abs(fit.params - truth) <= 3.0 * fit.std_errors
     assert (covered >= 0.95 * n_trials).all()
+
+
+def test_no_model_run_at_an_unchanged_point():
+    # Once damping climbs without an accepted step, the step falls below
+    # float resolution and the trial lands on the current point; the model
+    # is not run again there (the full ladder used to evaluate it 8 times).
+    calls = []
+
+    def counting(p, x):
+        calls.append(p.tobytes())
+        return _exp_model(p, x)
+
+    rng = np.random.default_rng(2)
+    x = np.linspace(0.0, 30.0, 25)
+    y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.003, x.size)
+    spec = ModelSpec(counting, EXP_SPEC.parameter_names, bounds=EXP_SPEC.bounds)
+    fit = fit_curve(spec, Dataset(x, y), [0.3, 0.3, 5.0])
+    assert len(calls) == 54
+    assert len(set(calls)) == len(calls)
+    assert fit.residual_norm.hex() == "0x1.97b6248c8acf7p-7"
+    assert (fit.iterations, fit.converged, fit.termination) == (9, True, "stalled")
+
+
+def test_termination_reasons():
+    x = np.linspace(0.0, 30.0, 12)
+    y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
+    data = Dataset(x, y)
+    assert fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0]).termination == "step_tolerance"
+    short = fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0], FitOptions(max_iterations=2))
+    assert (short.termination, short.converged, short.iterations) == ("max_iterations", False, 2)
+    none = fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0], FitOptions(max_iterations=0))
+    assert (none.termination, none.converged, none.iterations) == ("max_iterations", False, 0)
+    # A ladder that starts at the damping ceiling has no rung to try.
+    capped = fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0], FitOptions(damping_init=1e14))
+    assert (capped.termination, capped.converged, capped.iterations) == ("stalled", True, 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", -1), ("max_iterations", 2.0), ("max_iterations", True),
+    ("tolerance", -1e-3), ("tolerance", float("nan")), ("tolerance", float("inf")),
+    ("damping_init", 0.0), ("damping_init", float("nan")), ("damping_init", float("inf")),
+    ("damping_up", 1.0), ("damping_up", 0.5), ("damping_up", float("nan")),
+    ("damping_up", float("inf")),
+    ("damping_down", 0.0), ("damping_down", -2.0), ("damping_down", float("nan")),
+    ("rcond", -1.0), ("rcond", float("nan")), ("rcond", float("inf")),
+])
+def test_fit_options_reject_values_that_hang_or_mislead(field, value):
+    with pytest.raises(DomainError, match=field):
+        FitOptions(**{field: value})
+
+
+def test_fit_options_accept_edge_values():
+    FitOptions(max_iterations=0, tolerance=0.0, rcond=0.0, damping_down=0.5)
+    FitOptions(max_iterations=np.int64(3), damping_up=1.5, damping_init=1e15)

@@ -129,3 +129,25 @@ def test_multi_defect_tls_fit_matches_golden_digest(tmp_path):
     out = tmp_path / "defects.json"
     assert main(["--output", str(out), "fit", "tls", map_csv, "--max-defects", "3"]) == 0
     assert _digest(out) == "476babe51243975676d7d67b84801cb9796f6351870dd7e89c7dbb4dcedc6bc3"
+
+
+def test_five_defect_tls_fit_matches_golden_digest(tmp_path):
+    # One more defect asked for than the map holds, as in a defect survey.
+    rng = np.random.default_rng(47)
+    offsets_mhz = np.linspace(-20.0, 20.0, 161)
+    wait = 40e-6
+    rate = np.full(offsets_mhz.size, 21505.376344086024)
+    for center_mhz, g, gamma in ((-13.0, 80e3, 1e6), (-6.5, 95e3, 0.9e6), (0.5, 90e3, 1.1e6),
+                                 (7.0, 85e3, 0.8e6), (14.0, 75e3, 1e6)):
+        delta = (offsets_mhz - center_mhz) * 1e6
+        rate = rate + 2.0 * gamma * g * g / (gamma * gamma + delta * delta)
+    rows = []
+    for k in range(30):
+        noisy = np.exp(-rate * wait) + 0.02 * rng.standard_normal(offsets_mhz.size)
+        rows.append([k / 15.0, *np.clip(noisy, 1e-3, 1.0)])
+    map_csv = _write_rows(tmp_path / "map.csv", ["time_h", *map(repr, offsets_mhz.tolist())],
+                          rows)
+    out = tmp_path / "defects.json"
+    assert main(["--output", str(out), "fit", "tls", map_csv, "--max-defects", "6"]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["defects"]) == 5
+    assert _digest(out) == "6ef174d5afa50bdad787482ce6c29893ebf9534f38c447aad1fb2e20e2af064d"

@@ -419,3 +419,9 @@ class TestCoherence:
         sb = jt.summarize_coherence(before)
         assert not jt.significant_change(sb, jt.summarize_coherence(before * 1.05))
         assert not jt.significant_change(sb, sb)
+
+
+@pytest.mark.parametrize("max_defects", [0, -3])
+def test_max_defects_below_one_refused(max_defects):
+    with pytest.raises(DomainError, match="max_defects"):
+        jt.extract_tls(OFFSETS, np.full(OFFSETS.size, 0.5), WAIT, max_defects=max_defects)
