@@ -43,12 +43,10 @@ from .dose import (
 from .errors import DomainError, FitError, FitEvaluationError, InfeasibleError, SchemaError
 from .fitkit import Dataset, FitOptions, FitResult, ModelSpec, fit_curve
 from .physics import (
-    CONSTANTS,
     DEFAULT_BARRIER,
     DEFAULT_MATERIAL,
     BarrierModelParams,
     MaterialParams,
-    PhysicalConstants,
     barrier_resistance,
     critical_current,
     linearized_shift,

@@ -13,7 +13,8 @@ approximately preserved; ``offset_preservation`` quantifies exactly how well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 
+_GRID_POINTS = 3001  # samples of offset_preservation's [0, horizon] grid
+
+
 @dataclass(frozen=True)
 class AgingParams:
     """Plateau-exponential aging curve parameters (fractions, days)."""
@@ -41,8 +45,10 @@ class AgingParams:
     tau_days: float
 
     def __post_init__(self) -> None:
-        if self.tau_days <= 0:
-            raise DomainError("tau_days must be positive")
+        if not (math.isfinite(self.final_shift_a) and math.isfinite(self.depth_b)):
+            raise DomainError("final_shift_a and depth_b must be finite")
+        if not 0.0 < self.tau_days < math.inf:
+            raise DomainError("tau_days must be positive and finite")
 
     @property
     def initial_shift(self) -> float:
@@ -87,15 +93,16 @@ class AgingSeries:
             raise DomainError("reference resistance must be positive")
 
 
+def _shift_model(p: Sequence[float], t):
+    """A - B * exp(-t / tau) for p = (A, B, tau)."""
+    return p[0] - p[1] * np.exp(-t / p[2])
+
+
 def aging_shift(t: float, params: AgingParams) -> float:
     """Fractional resistance shift after t days of storage."""
     if t < 0:
         raise DomainError(f"storage time must be non-negative, got {t!r}")
-    return params.final_shift_a - params.depth_b * np.exp(-t / params.tau_days)
-
-
-def _shift_model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return p[0] - p[1] * np.exp(-t / p[2])
+    return _shift_model(astuple(params), t)
 
 
 _AGING_SPEC = ModelSpec(
@@ -134,7 +141,6 @@ def offset_preservation(
     annealed: AgingParams,
     unannealed: AgingParams,
     horizon: float,
-    grid_points: int = 3001,
 ) -> dict[str, float]:
     """How stable the annealed-vs-unannealed shift gap is over storage.
 
@@ -144,14 +150,8 @@ def offset_preservation(
     """
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon!r}")
-    t = np.linspace(0.0, horizon, grid_points)
-    gap = (
-        annealed.final_shift_a
-        - annealed.depth_b * np.exp(-t / annealed.tau_days)
-    ) - (
-        unannealed.final_shift_a
-        - unannealed.depth_b * np.exp(-t / unannealed.tau_days)
-    )
+    t = np.linspace(0.0, horizon, _GRID_POINTS)
+    gap = _shift_model(astuple(annealed), t) - _shift_model(astuple(unannealed), t)
     return {
         "initial_gap": float(gap[0]),
         "final_gap": float(gap[-1]),

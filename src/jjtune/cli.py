@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,40 +27,31 @@ from .tls import extract_tls, fit_stark, simulate_map, time_average
 from .tuner import TunePolicy, allocate_targets, iterative_tune, recipe_for_shift, required_shift
 from .wafer import run_batch
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated global options shared by every subcommand."""
-
-    seed: int | None
-    output: str | None
-    format: str
-
-
-def _require_seed(config: RunConfig) -> int:
-    if config.seed is None:
+def _require_seed(args: argparse.Namespace) -> int:
+    if args.seed is None:
         raise SchemaError("--seed is required for stochastic commands")
-    if config.seed < 0:
-        raise SchemaError(f"--seed must be non-negative, got {config.seed}")
-    return config.seed
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
-def _out_dir(config: RunConfig) -> str:
-    directory = config.output or "."
+def _out_dir(args: argparse.Namespace) -> str:
+    directory = args.output or "."
     os.makedirs(directory, exist_ok=True)
     return directory
 
 
 # ---------------------------------------------------------- simulate-wafer
 
-def _cmd_simulate_wafer(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     recipe = jio.recipe_from_doc(jio.load_json(args.recipe))
-    seed = _require_seed(config)
+    seed = _require_seed(args)
     report = run_batch(wafer, recipe, master_seed=seed)
-    directory = _out_dir(config)
+    directory = _out_dir(args)
     jio.write_json(os.path.join(directory, "report.json"), jio.batch_report_to_doc(report))
     jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
     n_passed = sum(1 for row in report.entries if row.qc_status == "passed")
@@ -169,8 +160,8 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
     return fit_aging_samples(days, shifts), ("final_shift_a", "depth_b", "tau_days")
 
 
-def _cmd_fit(args: argparse.Namespace, config: RunConfig) -> int:
-    out_path = config.output or "fit_report.json"
+def _cmd_fit(args: argparse.Namespace) -> int:
+    out_path = args.output or "fit_report.json"
     if args.kind == "tls":
         spectro = jio.read_map_csv(args.data)
         wait = args.wait_us * 1e-6
@@ -206,7 +197,7 @@ def _cmd_fit(args: argparse.Namespace, config: RunConfig) -> int:
 
 # --------------------------------------------------------------------- plan
 
-def _cmd_plan(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_plan(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     targets_doc = jio.load_json(args.targets)
     junctions = sorted(wafer.junctions, key=lambda j: j.id)
@@ -246,7 +237,7 @@ def _cmd_plan(args: argparse.Namespace, config: RunConfig) -> int:
                 "shots": [jio.recipe_to_doc(recipe) for recipe in shots],
             }
         )
-    out_path = config.output or "plan.json"
+    out_path = args.output or "plan.json"
     jio.write_json(out_path, jio.plan_to_doc(wafer.wafer_id, entries))
     total = sum(len(e["shots"]) for e in entries)
     print(f"{wafer.wafer_id}: planned {len(entries)} junctions, {total} shots")
@@ -255,10 +246,10 @@ def _cmd_plan(args: argparse.Namespace, config: RunConfig) -> int:
 
 # --------------------------------------------------------------------- tune
 
-def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_tune(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     plan = jio.load_json(args.plan)
-    seed = _require_seed(config)
+    seed = _require_seed(args)
     policy = TunePolicy(
         step_fraction=args.step_fraction,
         tolerance=args.tolerance,
@@ -298,10 +289,10 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
         )
         for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
     ]
-    directory = _out_dir(config)
+    directory = _out_dir(args)
     doc = jio.traces_to_doc(traces)
     jio.write_json(os.path.join(directory, "traces.json"), doc)
-    if config.format == "csv":
+    if args.format == "csv":
         jio.atomic_write_text(os.path.join(directory, "traces.csv"), jio.traces_csv(traces))
     summary = doc["summary"]
     print(
@@ -314,9 +305,9 @@ def _cmd_tune(args: argparse.Namespace, config: RunConfig) -> int:
 
 # ----------------------------------------------------------------- tls-scan
 
-def _cmd_tls_scan(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_tls_scan(args: argparse.Namespace) -> int:
     model = jio.noise_model_from_doc(jio.load_json(args.model))
-    seed = _require_seed(config)
+    seed = _require_seed(args)
     if not all(math.isfinite(v) for v in (args.f_min_mhz, args.f_max_mhz, args.f_step_mhz)):
         raise SchemaError("--f-min-mhz, --f-max-mhz and --f-step-mhz must be finite")
     if args.f_max_mhz <= args.f_min_mhz:
@@ -337,7 +328,7 @@ def _cmd_tls_scan(args: argparse.Namespace, config: RunConfig) -> int:
     extraction = extract_tls(
         spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
     )
-    directory = _out_dir(config)
+    directory = _out_dir(args)
     jio.atomic_write_text(os.path.join(directory, "map.csv"), jio.map_csv(spectro))
     jio.write_json(os.path.join(directory, "defects.json"), jio.extraction_to_doc(extraction, wait))
     print(extraction_summary(extraction))
@@ -415,9 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(seed=args.seed, output=args.output, format=args.format)
     try:
-        return args.handler(args, config)
+        return args.handler(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 POWER_LIMIT_MW = 50.0
+_DISPLACEMENT_SCALE = 0.0404207352594069  # puts displacement_response's peak at 1.5e-2
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,6 @@ def displacement_response(
     displacement: float,
     beam: BeamGeometry = BeamGeometry(),
     params: DisplacementParams = DisplacementParams(),
-    scale: float = 0.0404207352594069,
 ) -> float:
     """Measured fractional shift vs beam displacement at the reference dose.
 
@@ -263,7 +263,7 @@ def displacement_response(
     where substrate absorption has jumped but the junction is still close)
     sits at 1.5e-2. Falls below the unannealed drift band past ~30 um.
     """
-    return scale * absorption_fraction(displacement, beam) * heat_transfer_factor(
+    return _DISPLACEMENT_SCALE * absorption_fraction(displacement, beam) * heat_transfer_factor(
         displacement, params
     )
 

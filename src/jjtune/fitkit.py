@@ -201,14 +201,14 @@ def fit_curve(
     w = None if data.weights is None else np.asarray(data.weights, dtype=float)
     n = y.size
     p = np.asarray(list(p0), dtype=float)
-    if model.bounds is not None:
-        lo = np.array([-np.inf if b[0] is None else b[0] for b in model.bounds])
-        hi = np.array([np.inf if b[1] is None else b[1] for b in model.bounds])
-        p = np.minimum(np.maximum(p, lo), hi)
     if p.size != len(model.parameter_names):
         raise DomainError(
             f"expected {len(model.parameter_names)} initial parameters, got {p.size}"
         )
+    if model.bounds is not None:
+        lo = np.array([-np.inf if b[0] is None else b[0] for b in model.bounds])
+        hi = np.array([np.inf if b[1] is None else b[1] for b in model.bounds])
+        p = np.minimum(np.maximum(p, lo), hi)
     if n < p.size:
         raise DomainError(f"{n} points cannot constrain {p.size} parameters")
 

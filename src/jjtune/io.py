@@ -476,12 +476,12 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
     defects = []
     for index, raw in enumerate(doc.get("defects", [])):
         path = f"model.defects[{index}]"
-        dynamics = (
-            _dynamics_from_doc(raw["dynamics"], f"{path}.dynamics")
-            if "dynamics" in raw
-            else StaticDynamics()
-        )
         try:
+            dynamics = (
+                _dynamics_from_doc(raw["dynamics"], f"{path}.dynamics")
+                if "dynamics" in raw
+                else StaticDynamics()
+            )
             defects.append(
                 TlsDefect(
                     f_offset=_need(raw, "f_offset_mhz", float, path) * 1e6,

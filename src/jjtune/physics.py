@@ -7,9 +7,9 @@ and the charging energy:
     I_C  = pi * gap / (2 e R_N)                     (Ambegaokar-Baratoff, T=0)
     h f  = sqrt(h * gap * E_C / (e^2 R_N)) - E_C
 
-with E_C the charging energy and gap expressed in joules. The frequency map
-is strictly decreasing in R_N and is invertible in closed form, which is what
-the planner relies on.
+with E_C the charging energy and gap expressed in joules, both fixed by the
+DEFAULT_MATERIAL calibration. The frequency map is strictly decreasing in
+R_N and is invertible in closed form, which is what the planner relies on.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "PhysicalConstants",
     "MaterialParams",
     "BarrierModelParams",
-    "CONSTANTS",
     "DEFAULT_MATERIAL",
     "DEFAULT_BARRIER",
     "critical_current",
@@ -36,30 +34,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """SI defining constants (exact by definition)."""
-
-    planck_h: float = 6.62607015e-34      # J s
-    electron_charge_e: float = 1.602176634e-19  # C
-
-
-@dataclass(frozen=True)
 class MaterialParams:
     """Aluminum junction material parameters.
 
     gap_delta_al: superconducting gap in eV.
     charging_energy_over_h: E_C / h in Hz.
-    critical_current_density: A/m^2 (default 5e5 A/m^2, i.e. 500 nA/um^2),
-        used for area sizing, not by the frequency map.
     """
 
     gap_delta_al: float = 170e-6
     charging_energy_over_h: float = 275e6
-    critical_current_density: float = 5e5
 
     def __post_init__(self) -> None:
-        if self.gap_delta_al <= 0 or self.charging_energy_over_h <= 0:
-            raise DomainError("gap and charging energy must be positive")
+        if not all(0.0 < v < math.inf for v in (self.gap_delta_al, self.charging_energy_over_h)):
+            raise DomainError("gap and charging energy must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,82 +63,60 @@ class BarrierModelParams:
     prefactor: float = 2.33
 
     def __post_init__(self) -> None:
-        if self.tau_barrier <= 0 or self.prefactor <= 0:
-            raise DomainError("barrier parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (self.tau_barrier, self.prefactor)):
+            raise DomainError("barrier parameters must be positive and finite")
 
 
-CONSTANTS = PhysicalConstants()
 DEFAULT_MATERIAL = MaterialParams()
 DEFAULT_BARRIER = BarrierModelParams()
 
+# SI defining constants (exact) and the fixed calibration in joules; the
+# products keep the left-to-right grouping of the formulas they stand in for.
+_H = 6.62607015e-34  # J s
+_E = 1.602176634e-19  # C
+_GAP_J = DEFAULT_MATERIAL.gap_delta_al * _E
+_EC_J = _H * DEFAULT_MATERIAL.charging_energy_over_h
+_H_GAP_EC = _H * _GAP_J * _EC_J
+_E2 = _E * _E
+_R_MAX = _H * _GAP_J / (_E2 * _EC_J)
 
-def _gap_joule(mat: MaterialParams, const: PhysicalConstants) -> float:
-    return mat.gap_delta_al * const.electron_charge_e
 
-
-def _ec_joule(mat: MaterialParams, const: PhysicalConstants) -> float:
-    return const.planck_h * mat.charging_energy_over_h
-
-
-def max_resistance(
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    const: PhysicalConstants = CONSTANTS,
-) -> float:
+def max_resistance() -> float:
     """Upper edge of the valid resistance domain, where f_Q crosses zero.
 
-    R_max = h * gap / (e^2 * E_C); about 3.858 Mohm for the defaults.
+    R_max = h * gap / (e^2 * E_C); about 3.858 Mohm.
     """
-    e = const.electron_charge_e
-    return const.planck_h * _gap_joule(mat, const) / (e * e * _ec_joule(mat, const))
+    return _R_MAX
 
 
-def critical_current(
-    r_n: float,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    const: PhysicalConstants = CONSTANTS,
-) -> float:
+def critical_current(r_n: float) -> float:
     """Ambegaokar-Baratoff critical current (A) at zero temperature."""
     if r_n <= 0:
         raise DomainError(f"resistance must be positive, got {r_n!r}")
-    return math.pi * _gap_joule(mat, const) / (2.0 * const.electron_charge_e * r_n)
+    return math.pi * _GAP_J / (2.0 * _E * r_n)
 
 
-def qubit_frequency(
-    r_n: float,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    const: PhysicalConstants = CONSTANTS,
-) -> float:
+def qubit_frequency(r_n: float) -> float:
     """Qubit transition frequency (Hz) for a junction of resistance r_n (ohm).
 
-    Strictly decreasing in r_n. Valid for 0 < r_n < max_resistance(mat);
+    Strictly decreasing in r_n. Valid for 0 < r_n < max_resistance();
     outside that window the formula would return a non-positive frequency.
     """
     if r_n <= 0:
         raise DomainError(f"resistance must be positive, got {r_n!r}")
-    r_max = max_resistance(mat, const)
-    if r_n >= r_max:
+    if r_n >= _R_MAX:
         raise DomainError(
             f"resistance {r_n:.6g} ohm is at or beyond the zero-frequency "
-            f"bound {r_max:.6g} ohm"
+            f"bound {_R_MAX:.6g} ohm"
         )
-    e = const.electron_charge_e
-    ec = _ec_joule(mat, const)
-    hf = math.sqrt(const.planck_h * _gap_joule(mat, const) * ec / (e * e * r_n)) - ec
-    return hf / const.planck_h
+    return (math.sqrt(_H_GAP_EC / (_E2 * r_n)) - _EC_J) / _H
 
 
-def resistance_for_frequency(
-    f_q: float,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    const: PhysicalConstants = CONSTANTS,
-) -> float:
+def resistance_for_frequency(f_q: float) -> float:
     """Exact inverse of qubit_frequency: resistance (ohm) hitting f_q (Hz)."""
     if f_q <= 0:
         raise DomainError(f"frequency must be positive, got {f_q!r}")
-    e = const.electron_charge_e
-    ec = _ec_joule(mat, const)
-    hf = const.planck_h * f_q
-    return const.planck_h * _gap_joule(mat, const) * ec / (e * e * (hf + ec) ** 2)
+    return _H_GAP_EC / (_E2 * (_H * f_q + _EC_J) ** 2)
 
 
 def linearized_shift(resistance_shift: float) -> float:
@@ -164,11 +129,7 @@ def linearized_shift(resistance_shift: float) -> float:
     return -resistance_shift / 1.9
 
 
-def barrier_resistance(
-    thickness: float,
-    area: float,
-    barrier: BarrierModelParams = DEFAULT_BARRIER,
-) -> float:
+def barrier_resistance(thickness: float, area: float) -> float:
     """Normal-state resistance (ohm) of a barrier of given thickness and area.
 
     thickness in nm, area in um^2. Exponential in thickness: a +0.1 nm step
@@ -179,4 +140,4 @@ def barrier_resistance(
         raise DomainError(f"thickness must be non-negative, got {thickness!r}")
     if area <= 0:
         raise DomainError(f"area must be positive, got {area!r}")
-    return barrier.prefactor * math.exp(thickness / barrier.tau_barrier) / area
+    return DEFAULT_BARRIER.prefactor * math.exp(thickness / DEFAULT_BARRIER.tau_barrier) / area

@@ -65,8 +65,8 @@ class DriftingDynamics:
     step_interval: float
 
     def __post_init__(self) -> None:
-        if self.sigma_f < 0 or self.step_interval <= 0:
-            raise DomainError("drift parameters must be positive")
+        if not (0.0 <= self.sigma_f < math.inf and 0.0 < self.step_interval < math.inf):
+            raise DomainError("drift parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,12 @@ class TelegraphicDynamics:
     switch_rate: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.f_a) and math.isfinite(self.f_b)):
+            raise DomainError("telegraphic states must be finite")
         if self.f_a == self.f_b:
             raise DomainError("telegraphic states must differ")
-        if self.switch_rate < 0:
-            raise DomainError("switch rate must be non-negative")
+        if not 0.0 <= self.switch_rate < math.inf:
+            raise DomainError("switch rate must be non-negative and finite")
 
 
 Dynamics = StaticDynamics | DriftingDynamics | TelegraphicDynamics
@@ -102,10 +104,12 @@ class TlsDefect:
     dynamics: Dynamics = StaticDynamics()
 
     def __post_init__(self) -> None:
-        if self.coupling_g < 0:
-            raise DomainError("coupling must be non-negative")
-        if self.gamma_total <= 0:
-            raise DomainError("gamma_total must be positive")
+        if not math.isfinite(self.f_offset):
+            raise DomainError("f_offset must be finite")
+        if not 0.0 <= self.coupling_g < math.inf:
+            raise DomainError("coupling must be non-negative and finite")
+        if not 0.0 < self.gamma_total < math.inf:
+            raise DomainError("gamma_total must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,13 @@ class QubitNoiseModel:
     readout_noise_sigma: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.gamma_1q <= 0:
-            raise DomainError("gamma_1q must be positive")
-        if self.readout_noise_sigma < 0:
-            raise DomainError("readout noise must be non-negative")
+        if not 0.0 < self.gamma_1q < math.inf:
+            raise DomainError("gamma_1q must be positive and finite")
+        if not 0.0 <= self.readout_noise_sigma < math.inf:
+            raise DomainError("readout noise must be non-negative and finite")
+
+
+_TONE_DETUNING = 80e6  # Hz, the Stark tone's offset from the qubit
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,13 @@ class StarkCalibration:
 
     conv_a_neg: float = 432e6
     conv_a_pos: float = 416e6
-    tone_detuning: float = 80e6
+    tone_detuning: float = _TONE_DETUNING
     reliable_range: float = 33e6
 
     def __post_init__(self) -> None:
-        if min(self.conv_a_neg, self.conv_a_pos, self.tone_detuning) <= 0:
-            raise DomainError("calibration frequencies must be positive")
+        freqs = (self.conv_a_neg, self.conv_a_pos, self.tone_detuning, self.reliable_range)
+        if not all(0.0 < v < math.inf for v in freqs):
+            raise DomainError("calibration frequencies must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -259,10 +267,7 @@ def amplitude_for_shift(target: float, cal: StarkCalibration = StarkCalibration(
     return math.sqrt(reach * reach - cal.tone_detuning * cal.tone_detuning) / a
 
 
-def fit_stark(
-    points: Sequence[tuple[float, float]],
-    tone_detuning: float = 80e6,
-) -> FitResult:
+def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit the conversion factor A from (amplitude, measured shift) pairs."""
     if len(points) < 3:
         raise DomainError("need at least 3 calibration points")
@@ -271,12 +276,12 @@ def fit_stark(
     sign = -1.0 if float(np.mean(shifts)) < 0 else 1.0
 
     def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return sign * (np.hypot(p[0] * x, tone_detuning) - tone_detuning)
+        return sign * (np.hypot(p[0] * x, _TONE_DETUNING) - _TONE_DETUNING)
 
     spec = ModelSpec(evaluator=model, parameter_names=("conv_a",), bounds=((1e3, np.inf),))
     top = int(np.argmax(np.abs(shifts)))
-    reach = abs(shifts[top]) + tone_detuning
-    a0 = math.sqrt(max(reach * reach - tone_detuning * tone_detuning, 1e6)) / max(amps[top], 1e-9)
+    reach = abs(shifts[top]) + _TONE_DETUNING
+    a0 = math.sqrt(max(reach * reach - _TONE_DETUNING * _TONE_DETUNING, 1e6)) / max(amps[top], 1e-9)
     return fit_curve(spec, Dataset(inputs=amps, observations=shifts), [a0])
 
 
@@ -404,7 +409,6 @@ def extract_tls(
     freq_offsets: Sequence[float],
     profile: Sequence[float],
     wait: float,
-    gamma_1q_guess: float | None = None,
     max_defects: int = 1,
 ) -> TlsExtraction:
     """Recover defect parameters from a time-averaged population profile.

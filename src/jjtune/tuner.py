@@ -34,7 +34,7 @@ from .dose import (
     mean_shift,
 )
 from .errors import DomainError, InfeasibleError
-from .physics import DEFAULT_MATERIAL, MaterialParams, qubit_frequency, resistance_for_frequency
+from .physics import qubit_frequency, resistance_for_frequency
 
 __all__ = [
     "TunePolicy",
@@ -75,8 +75,9 @@ class TunePolicy:
             raise DomainError("step_fraction must be in (0, 1]")
         if self.tolerance <= 0:
             raise DomainError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"max_iterations must be an integer >= 1, got {n!r}")
         if self.measurement_noise_sigma < 0:
             raise DomainError("measurement noise must be non-negative")
         if not 0.0 <= self.guard_fraction < 1.0:
@@ -100,11 +101,7 @@ class TuneTrace:
     final_resistance: float
 
 
-def required_shift(
-    f_now: float,
-    f_target: float,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-) -> float:
+def required_shift(f_now: float, f_target: float) -> float:
     """Fractional resistance increase taking f_now to f_target (exact).
 
     Annealing cannot lower resistance, so f_target above f_now is refused.
@@ -114,7 +111,7 @@ def required_shift(
             f"target {f_target / 1e9:.6f} GHz is above the current "
             f"{f_now / 1e9:.6f} GHz; annealing only shifts frequency down"
         )
-    return resistance_for_frequency(f_target, mat) / resistance_for_frequency(f_now, mat) - 1.0
+    return resistance_for_frequency(f_target) / resistance_for_frequency(f_now) - 1.0
 
 
 def power_for_shift(
@@ -124,20 +121,25 @@ def power_for_shift(
 ) -> float:
     """Exact laser power (mW) whose mean shift equals target_shift.
 
-    Inverts the saturating dose curve in closed form. Raises when the shift
-    is beyond what a single shot under the power ceiling can do.
+    Inverts the saturating dose curve in closed form, which holds only for a
+    curve tied to zero shift at the model's heating ambient (the default
+    depth_b tie); any other model is refused. Raises when the shift is
+    beyond what a single shot under the power ceiling can do.
     """
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
+    r = model.response
+    if r.depth_b != r.plateau_m * math.exp(model.heating.ambient / r.char_temperature_t0):
+        raise DomainError("power_for_shift needs depth_b == plateau_m * exp(ambient / T0)")
     if target_shift == 0.0:
         return 0.0
-    plateau = model.response.plateau_m * exposure_factor(exposure, 1, model.response)
+    plateau = r.plateau_m * exposure_factor(exposure, 1, r)
     if target_shift >= plateau:
         raise InfeasibleError(
             f"shift {target_shift:.6g} is at or above the single-shot "
             f"plateau {plateau:.6g}"
         )
-    t0 = model.response.char_temperature_t0
+    t0 = r.char_temperature_t0
     temperature_rise = -t0 * math.log1p(-target_shift / plateau)
     power = temperature_rise / model.heating.slope
     if power > _POWER_CEILING_MW:
@@ -210,7 +212,6 @@ def iterative_tune(
     policy: TunePolicy = TunePolicy(),
     model: DoseModel = DoseModel(),
     rng: np.random.Generator | None = None,
-    mat: MaterialParams = DEFAULT_MATERIAL,
     junction_id: str = "",
 ) -> TuneTrace:
     """Run the measure-plan-anneal loop until the band is hit or budget ends.
@@ -226,9 +227,9 @@ def iterative_tune(
     if not 0.0 < f_target < math.inf:
         raise DomainError(f"target frequency must be positive and finite, got {f_target!r}")
 
-    r_target = resistance_for_frequency(f_target, mat)
+    r_target = resistance_for_frequency(f_target)
     f_aim = f_target * (1.0 + policy.guard_fraction * policy.tolerance)
-    r_aim = resistance_for_frequency(f_aim, mat)
+    r_aim = resistance_for_frequency(f_aim)
     mu_ceiling = _single_shot_ceiling(model, DEFAULT_RECIPE.exposure)
 
     state = JunctionState(resistance=junction.resistance, history=junction.history)
@@ -242,7 +243,7 @@ def iterative_tune(
         )
         fused_logs.append(math.log(measured))
         r_hat = math.exp(sum(fused_logs) / len(fused_logs))
-        inferred = qubit_frequency(r_hat, mat)
+        inferred = qubit_frequency(r_hat)
 
         if abs(inferred - f_target) <= policy.tolerance * f_target:
             rows.append(TuneIteration(measured, inferred, None, None))
@@ -251,7 +252,7 @@ def iterative_tune(
         if inferred < f_target:
             if iteration == 0:
                 # One-directional process: the target is already above us.
-                required_shift(inferred, f_target, mat)  # raises InfeasibleError
+                required_shift(inferred, f_target)  # raises InfeasibleError
             rows.append(TuneIteration(measured, inferred, None, None))
             outcome = "overshoot"
             break

@@ -59,10 +59,12 @@ class JunctionRecord:
     age_days: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0:
-            raise DomainError(f"junction {self.id}: resistance must be positive")
-        if self.area <= 0:
-            raise DomainError(f"junction {self.id}: area must be positive")
+        if not 0.0 < self.resistance < math.inf:
+            raise DomainError(f"junction {self.id}: resistance must be positive and finite")
+        if not 0.0 < self.area < math.inf:
+            raise DomainError(f"junction {self.id}: area must be positive and finite")
+        if not -math.inf < self.age_days < math.inf:
+            raise DomainError(f"junction {self.id}: age_days must be finite")
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ class StageNoise:
     delta_focus: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.sigma_center < 0 or self.sigma_focus < 0:
-            raise DomainError("noise sigmas must be non-negative")
-        if self.delta_center <= 0 or self.delta_focus <= 0:
-            raise DomainError("score constants must be positive")
+        if not (0.0 <= self.sigma_center < math.inf and 0.0 <= self.sigma_focus < math.inf):
+            raise DomainError("noise sigmas must be non-negative and finite")
+        if not (0.0 < self.delta_center < math.inf and 0.0 < self.delta_focus < math.inf):
+            raise DomainError("score constants must be positive and finite")
 
 
 class BatchRow(NamedTuple):

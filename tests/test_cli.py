@@ -544,3 +544,24 @@ def test_tls_scan_max_defects_below_one_is_input_error(tmp_path, capsys, value):
                  "--duration-h", "0.1", "--max-defects", value]) == 2
     assert "max_defects must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", [
+    {"f_offset_mhz": 1e305},
+    {"coupling_g_khz": 1e306},
+    {"dynamics": {"kind": "drifting", "sigma_f_mhz": 1e305, "step_interval_s": 60.0}},
+    {"dynamics": {"kind": "telegraphic", "f_a_mhz": -1e305, "f_b_mhz": 5.0,
+                  "switch_rate_per_s": 0.001}},
+])
+def test_tls_scan_model_value_overflowing_to_infinity_is_input_error(tmp_path, capsys, defect):
+    # finite in the document, infinite once scaled to Hz
+    raw = {"f_offset_mhz": 1.0, "coupling_g_khz": 76.0, "gamma_total_mhz": 1.0, **defect}
+    mpath = tmp_path / "model.json"
+    jio.write_json(str(mpath), {"gamma_1q_per_s": 21505.376344086024,
+                                "readout_noise_sigma": 0.02, "defects": [raw]})
+    out = tmp_path / "scan"
+    assert main(["--seed", "11", "--output", str(out), "tls-scan", str(mpath),
+                 "--duration-h", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "model.defects[0]" in err and "finite" in err
+    assert not out.exists()

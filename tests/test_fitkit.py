@@ -213,3 +213,13 @@ def test_fit_options_reject_values_that_hang_or_mislead(field, value):
 def test_fit_options_accept_edge_values():
     FitOptions(max_iterations=0, tolerance=0.0, rcond=0.0, damping_down=0.5)
     FitOptions(max_iterations=np.int64(3), damping_up=1.5, damping_init=1e15)
+
+
+@pytest.mark.parametrize("p0, got", [([1.0], 1), ([1.0, 2.0, 3.0], 3)])
+def test_p0_length_checked_before_clamping_to_bounds(p0, got):
+    # with bounds, a one-element p0 used to broadcast to every parameter and
+    # a too-long one raised numpy's broadcast ValueError
+    spec = ModelSpec(lambda p, x: p[0] * x + p[1], ("a", "b"), bounds=((0.0, 5.0), (0.0, 5.0)))
+    x = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match=f"expected 2 initial parameters, got {got}"):
+        fit_curve(spec, Dataset(x, 2.0 * x + 1.0), p0)

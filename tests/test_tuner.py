@@ -261,3 +261,33 @@ class TestAllocateTargets:
             jt.allocate_targets([5e9], -1.0)
         with pytest.raises(DomainError):
             jt.allocate_targets([5e9, 0.0], 1e6)
+
+
+@pytest.mark.parametrize("model", [
+    DoseModel(heating=jt.HeatingParams(ambient=25.0)),
+    DoseModel(response=jt.DoseResponseParams(depth_b=0.03)),
+])
+def test_power_for_shift_refuses_a_curve_not_tied_to_its_ambient(model):
+    # the closed form would miss: these models land at 0.01131 and 0.01147
+    with pytest.raises(DomainError, match="depth_b"):
+        jt.power_for_shift(0.01, model)
+
+
+@pytest.mark.parametrize("model", [
+    DoseModel(),
+    DoseModel(response=jt.DoseResponseParams(plateau_m=0.02, char_temperature_t0=30.0)),
+])
+@pytest.mark.parametrize("target", [1e-3, 0.005, 0.01, 0.015, 0.017])
+def test_power_for_shift_inverts_tied_curves(model, target):
+    power = jt.power_for_shift(target, model)
+    assert jt.mean_shift(jt.LasingRecipe(power=power), model) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_policy_max_iterations_must_be_an_integer(value):
+    with pytest.raises(DomainError, match="max_iterations must be an integer"):
+        jt.TunePolicy(max_iterations=value)
+
+
+def test_policy_accepts_numpy_integer_iterations():
+    assert jt.TunePolicy(max_iterations=np.int64(3)).max_iterations == 3
