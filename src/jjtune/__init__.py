@@ -45,8 +45,6 @@ from .fitkit import Dataset, FitOptions, FitResult, ModelSpec, fit_curve
 from .physics import (
     DEFAULT_BARRIER,
     DEFAULT_MATERIAL,
-    BarrierModelParams,
-    MaterialParams,
     barrier_resistance,
     critical_current,
     linearized_shift,

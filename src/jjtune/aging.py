@@ -14,7 +14,7 @@ approximately preserved; ``offset_preservation`` quantifies exactly how well.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -98,11 +98,15 @@ def _shift_model(p: Sequence[float], t):
     return p[0] - p[1] * np.exp(-t / p[2])
 
 
+def _curve(params: AgingParams) -> tuple[float, float, float]:
+    return params.final_shift_a, params.depth_b, params.tau_days
+
+
 def aging_shift(t: float, params: AgingParams) -> float:
     """Fractional resistance shift after t days of storage."""
     if t < 0:
         raise DomainError(f"storage time must be non-negative, got {t!r}")
-    return _shift_model(astuple(params), t)
+    return _shift_model(_curve(params), t)
 
 
 _AGING_SPEC = ModelSpec(
@@ -151,7 +155,7 @@ def offset_preservation(
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon!r}")
     t = np.linspace(0.0, horizon, _GRID_POINTS)
-    gap = _shift_model(astuple(annealed), t) - _shift_model(astuple(unannealed), t)
+    gap = _shift_model(_curve(annealed), t) - _shift_model(_curve(unannealed), t)
     return {
         "initial_gap": float(gap[0]),
         "final_gap": float(gap[-1]),

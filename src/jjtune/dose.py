@@ -93,8 +93,11 @@ class DoseResponseParams:
         if not math.isfinite(self.depth_b):
             raise DomainError("depth_b must be finite")
         if self.depth_b == 0.0:
-            tied = self.plateau_m * math.exp(HeatingParams.ambient / self.char_temperature_t0)
-            object.__setattr__(self, "depth_b", tied)
+            object.__setattr__(self, "depth_b", self.tied_depth(HeatingParams.ambient))
+
+    def tied_depth(self, ambient: float) -> float:
+        """The depth_b that puts the curve's zero at ambient (degC)."""
+        return self.plateau_m * math.exp(ambient / self.char_temperature_t0)
 
 
 @dataclass(frozen=True)

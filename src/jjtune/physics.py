@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "MaterialParams",
-    "BarrierModelParams",
     "DEFAULT_MATERIAL",
     "DEFAULT_BARRIER",
     "critical_current",
@@ -34,8 +32,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MaterialParams:
-    """Aluminum junction material parameters.
+class _MaterialParams:
+    """Aluminum junction material calibration (the one record is DEFAULT_MATERIAL).
 
     gap_delta_al: superconducting gap in eV.
     charging_energy_over_h: E_C / h in Hz.
@@ -44,14 +42,10 @@ class MaterialParams:
     gap_delta_al: float = 170e-6
     charging_energy_over_h: float = 275e6
 
-    def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.gap_delta_al, self.charging_energy_over_h)):
-            raise DomainError("gap and charging energy must be positive and finite")
-
 
 @dataclass(frozen=True)
-class BarrierModelParams:
-    """Exponential thickness model for the oxide barrier.
+class _BarrierModelParams:
+    """Exponential thickness model for the oxide barrier (DEFAULT_BARRIER).
 
     R_N * area = prefactor * exp(thickness / tau_barrier)
 
@@ -62,13 +56,9 @@ class BarrierModelParams:
     tau_barrier: float = 0.39
     prefactor: float = 2.33
 
-    def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.tau_barrier, self.prefactor)):
-            raise DomainError("barrier parameters must be positive and finite")
 
-
-DEFAULT_MATERIAL = MaterialParams()
-DEFAULT_BARRIER = BarrierModelParams()
+DEFAULT_MATERIAL = _MaterialParams()
+DEFAULT_BARRIER = _BarrierModelParams()
 
 # SI defining constants (exact) and the fixed calibration in joules; the
 # products keep the left-to-right grouping of the formulas they stand in for.

@@ -136,6 +136,8 @@ class StarkCalibration:
 
     conv_a_neg applies to the tone parked below the qubit (negative shifts),
     conv_a_pos above. reliable_range bounds the usable shift magnitude.
+    tone_detuning must stay at its 80 MHz default for conversion factors
+    taken from fit_stark, which always fits at that detuning.
     """
 
     conv_a_neg: float = 432e6
@@ -268,7 +270,11 @@ def amplitude_for_shift(target: float, cal: StarkCalibration = StarkCalibration(
 
 
 def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit the conversion factor A from (amplitude, measured shift) pairs."""
+    """Fit the conversion factor A from (amplitude, measured shift) pairs.
+
+    The tone is taken at the default 80 MHz detuning of StarkCalibration, so
+    the fitted A belongs in a calibration that keeps that tone_detuning.
+    """
     if len(points) < 3:
         raise DomainError("need at least 3 calibration points")
     amps = np.array([a for a, _ in points], dtype=float)

@@ -129,8 +129,8 @@ def power_for_shift(
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
     r = model.response
-    if r.depth_b != r.plateau_m * math.exp(model.heating.ambient / r.char_temperature_t0):
-        raise DomainError("power_for_shift needs depth_b == plateau_m * exp(ambient / T0)")
+    if r.depth_b != r.tied_depth(model.heating.ambient):
+        raise DomainError("power_for_shift needs depth_b tied to the heating ambient")
     if target_shift == 0.0:
         return 0.0
     plateau = r.plateau_m * exposure_factor(exposure, 1, r)

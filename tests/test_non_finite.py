@@ -47,10 +47,6 @@ NAN, INF = float("nan"), float("inf")
     lambda: jt.AgingParams(0.2, 0.1, NAN),
     lambda: jt.AgingParams(0.2, 0.1, INF),
     lambda: jt.AgingParams(NAN, 0.1, NAN),
-    lambda: jt.MaterialParams(gap_delta_al=NAN),
-    lambda: jt.MaterialParams(charging_energy_over_h=INF),
-    lambda: jt.BarrierModelParams(tau_barrier=NAN),
-    lambda: jt.BarrierModelParams(prefactor=INF),
     lambda: jt.TunePolicy(max_iterations=2.5),
 ])
 def test_dataclasses_reject_non_finite_fields(build):
