@@ -104,7 +104,7 @@ def _curve(params: AgingParams) -> tuple[float, float, float]:
 
 def aging_shift(t: float, params: AgingParams) -> float:
     """Fractional resistance shift after t days of storage."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"storage time must be non-negative, got {t!r}")
     return _shift_model(_curve(params), t)
 
@@ -152,7 +152,7 @@ def offset_preservation(
     grid over [0, horizon] and reports the day-0 gap, the horizon gap, and
     the worst absolute drift away from the day-0 value.
     """
-    if horizon <= 0:
+    if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive, got {horizon!r}")
     t = np.linspace(0.0, horizon, _GRID_POINTS)
     gap = _shift_model(_curve(annealed), t) - _shift_model(_curve(unannealed), t)

@@ -1,9 +1,9 @@
 """Command-line surface: simulate-wafer, fit, plan, tune, tls-scan.
 
 Exit codes: 0 success, 2 input/schema error (including a missing --seed on a
-stochastic run), 3 infeasible request, 4 fit non-convergence (a partial
-report is still written). All files are written atomically; stochastic
-commands are deterministic for a given --seed.
+stochastic run or an output that cannot be written), 3 infeasible request, 4
+fit non-convergence (a partial report is still written). All files are
+written atomically; stochastic commands are deterministic for a given --seed.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def _require_seed(args: argparse.Namespace) -> int:
     return args.seed
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    directory = args.output or "."
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
 # ---------------------------------------------------------- simulate-wafer
 
 def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
@@ -51,7 +45,7 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     recipe = jio.recipe_from_doc(jio.load_json(args.recipe))
     seed = _require_seed(args)
     report = run_batch(wafer, recipe, master_seed=seed)
-    directory = _out_dir(args)
+    directory = args.output or "."
     jio.write_json(os.path.join(directory, "report.json"), jio.batch_report_to_doc(report))
     jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
     n_passed = sum(1 for row in report.entries if row.qc_status == "passed")
@@ -289,7 +283,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
         for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
     ]
-    directory = _out_dir(args)
+    directory = args.output or "."
     doc = jio.traces_to_doc(traces)
     jio.write_json(os.path.join(directory, "traces.json"), doc)
     if args.format == "csv":
@@ -328,14 +322,14 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
     extraction = extract_tls(
         spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
     )
-    directory = _out_dir(args)
+    directory = args.output or "."
     jio.atomic_write_text(os.path.join(directory, "map.csv"), jio.map_csv(spectro))
     jio.write_json(os.path.join(directory, "defects.json"), jio.extraction_to_doc(extraction, wait))
-    print(extraction_summary(extraction))
+    print(_extraction_summary(extraction))
     return 0
 
 
-def extraction_summary(extraction) -> str:
+def _extraction_summary(extraction) -> str:
     if not extraction.persistent:
         return "no persistent defect"
     parts = [

@@ -211,7 +211,7 @@ DEFAULT_RECIPE = LasingRecipe(power=40.0, exposure=60.0, repetitions=1, displace
 
 def junction_temperature(power: float, heating: HeatingParams = HeatingParams()) -> float:
     """Steady-state junction temperature (degC) under power mW on target."""
-    if power < 0:
+    if not power >= 0:
         raise DomainError(f"power must be non-negative, got {power!r}")
     if power >= POWER_LIMIT_MW:
         raise InfeasibleError(
@@ -236,7 +236,7 @@ def absorption_fraction(displacement: float, beam: BeamGeometry = BeamGeometry()
     absorbs 1 - al_reflectance, the exposed substrate 1 - si_reflectance.
     Rises steeply once the spot walks off the metal at electrode_extent.
     """
-    if displacement < 0:
+    if not displacement >= 0:
         raise DomainError(f"displacement must be non-negative, got {displacement!r}")
     on_metal = 0.5 * (
         1.0 + math.erf(math.sqrt(2.0) * (beam.electrode_extent - displacement) / beam.waist)
@@ -250,7 +250,7 @@ def heat_transfer_factor(
     displacement: float, params: DisplacementParams = DisplacementParams()
 ) -> float:
     """Fraction of deposited heat reaching the junction from distance D (um)."""
-    if displacement < 0:
+    if not displacement >= 0:
         raise DomainError(f"displacement must be non-negative, got {displacement!r}")
     return params.transfer_amp_a * math.exp(-displacement / params.decay_d0) + params.transfer_offset_b
 

@@ -4,6 +4,8 @@ Every error raised on a user-facing path derives from one of these so the
 CLI can map failures onto stable exit codes.
 """
 
+__all__ = ["DomainError", "InfeasibleError", "FitError", "FitEvaluationError", "SchemaError"]
+
 
 class DomainError(ValueError):
     """An input is outside the physical or mathematical domain of an operation."""

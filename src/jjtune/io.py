@@ -8,6 +8,7 @@ byte-identical. SCHEMAS.md documents each format.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io as _io
@@ -63,18 +64,24 @@ __all__ = [
 # ---------------------------------------------------------------- writing
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    Creates missing parent directories. A path that cannot be written raises
+    SchemaError naming it, and no temp file is left behind.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write ({exc.strerror})")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 _INDENT = "  "
@@ -156,14 +163,25 @@ def write_json(path: str, doc: dict) -> None:
     atomic_write_text(path, json_text(doc))
 
 
-def load_json(path: str) -> Any:
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a missing, unreadable or non-UTF-8 input into a SchemaError naming path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        yield
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start})")
+
+
+def load_json(path: str) -> Any:
+    with _reading(path), open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})")
 
 
 # ------------------------------------------------------------- validation
@@ -354,16 +372,13 @@ def batch_report_csv(report: BatchReport) -> str:
 # ------------------------------------------------------------- fit inputs
 
 def _read_csv_rows(path: str, required: Sequence[str]) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            fields = reader.fieldnames or []
-            for column in required:
-                if column not in fields:
-                    raise SchemaError(f"{path}: missing required column '{column}'")
-            return list(reader)
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: file not found")
+    with _reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        fields = reader.fieldnames or []
+        for column in required:
+            if column not in fields:
+                raise SchemaError(f"{path}: missing required column '{column}'")
+        return list(reader)
 
 
 def _cell_float(row: dict, column: str, path: str, line: int) -> float:
@@ -508,11 +523,8 @@ def map_csv(spectro: SpectroMap) -> str:
 
 
 def read_map_csv(path: str) -> SpectroMap:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: file not found")
+    with _reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
     if not rows or rows[0][:1] != ["time_h"]:
         raise SchemaError(f"{path}: expected a map CSV with a 'time_h' header column")
     try:
@@ -529,9 +541,7 @@ def read_map_csv(path: str) -> SpectroMap:
         )
         raise SchemaError(f"{path}:{line}: map matrix holds a non-finite value")
     try:
-        return SpectroMap(
-            freq_offsets=offsets, times=times, population=population, wait_time=1.0
-        )
+        return SpectroMap(freq_offsets=offsets, times=times, population=population)
     except DomainError as exc:
         raise SchemaError(f"{path}: {exc}")
 

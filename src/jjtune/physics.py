@@ -81,7 +81,7 @@ def max_resistance() -> float:
 
 def critical_current(r_n: float) -> float:
     """Ambegaokar-Baratoff critical current (A) at zero temperature."""
-    if r_n <= 0:
+    if not r_n > 0:
         raise DomainError(f"resistance must be positive, got {r_n!r}")
     return math.pi * _GAP_J / (2.0 * _E * r_n)
 
@@ -92,7 +92,7 @@ def qubit_frequency(r_n: float) -> float:
     Strictly decreasing in r_n. Valid for 0 < r_n < max_resistance();
     outside that window the formula would return a non-positive frequency.
     """
-    if r_n <= 0:
+    if not r_n > 0:
         raise DomainError(f"resistance must be positive, got {r_n!r}")
     if r_n >= _R_MAX:
         raise DomainError(
@@ -104,7 +104,7 @@ def qubit_frequency(r_n: float) -> float:
 
 def resistance_for_frequency(f_q: float) -> float:
     """Exact inverse of qubit_frequency: resistance (ohm) hitting f_q (Hz)."""
-    if f_q <= 0:
+    if not 0.0 < f_q < math.inf:
         raise DomainError(f"frequency must be positive, got {f_q!r}")
     return _H_GAP_EC / (_E2 * (_H * f_q + _EC_J) ** 2)
 
@@ -126,8 +126,8 @@ def barrier_resistance(thickness: float, area: float) -> float:
     multiplies resistance by exp(0.1 / tau_barrier), about +29% at the
     default tau.
     """
-    if thickness < 0:
+    if not thickness >= 0:
         raise DomainError(f"thickness must be non-negative, got {thickness!r}")
-    if area <= 0:
+    if not area > 0:
         raise DomainError(f"area must be positive, got {area!r}")
     return DEFAULT_BARRIER.prefactor * math.exp(thickness / DEFAULT_BARRIER.tau_barrier) / area

@@ -135,18 +135,16 @@ class StarkCalibration:
     """Amplitude-to-shift conversion for the off-resonant tone.
 
     conv_a_neg applies to the tone parked below the qubit (negative shifts),
-    conv_a_pos above. reliable_range bounds the usable shift magnitude.
-    tone_detuning must stay at its 80 MHz default for conversion factors
-    taken from fit_stark, which always fits at that detuning.
+    conv_a_pos above. reliable_range bounds the usable shift magnitude. The
+    tone always sits 80 MHz from the qubit.
     """
 
     conv_a_neg: float = 432e6
     conv_a_pos: float = 416e6
-    tone_detuning: float = _TONE_DETUNING
     reliable_range: float = 33e6
 
     def __post_init__(self) -> None:
-        freqs = (self.conv_a_neg, self.conv_a_pos, self.tone_detuning, self.reliable_range)
+        freqs = (self.conv_a_neg, self.conv_a_pos, self.reliable_range)
         if not all(0.0 < v < math.inf for v in freqs):
             raise DomainError("calibration frequencies must be positive and finite")
 
@@ -158,7 +156,6 @@ class SpectroMap:
     freq_offsets: np.ndarray
     times: np.ndarray          # hours
     population: np.ndarray     # shape (len(times), len(freq_offsets))
-    wait_time: float           # s
 
     def __post_init__(self) -> None:
         if self.population.shape != (self.times.size, self.freq_offsets.size):
@@ -221,7 +218,7 @@ def excited_population(
     noise_sigma: float = 0.0,
 ) -> float:
     """Excited-state population after waiting, with optional readout noise."""
-    if wait <= 0:
+    if not wait > 0:
         raise DomainError(f"wait must be positive, got {wait!r}")
     p = math.exp(-rate * wait)
     if rng is not None and noise_sigma > 0.0:
@@ -241,10 +238,10 @@ def stark_shift(amplitude: float, cal: StarkCalibration = StarkCalibration(), si
     Quadratic in amplitude at small drive, linearizing toward A*amp at
     strong drive; zero at zero amplitude.
     """
-    if amplitude < 0:
+    if not amplitude >= 0:
         raise DomainError(f"amplitude must be non-negative, got {amplitude!r}")
     a = _conversion(cal, sign)
-    return sign * (math.hypot(a * amplitude, cal.tone_detuning) - cal.tone_detuning)
+    return sign * (math.hypot(a * amplitude, _TONE_DETUNING) - _TONE_DETUNING)
 
 
 def amplitude_for_shift(target: float, cal: StarkCalibration = StarkCalibration(), sign: int | None = None) -> float:
@@ -259,21 +256,20 @@ def amplitude_for_shift(target: float, cal: StarkCalibration = StarkCalibration(
         return 0.0
     if (target < 0) != (sign < 0):
         raise DomainError("target sign does not match the requested tone side")
-    if abs(target) > cal.reliable_range:
+    if not abs(target) <= cal.reliable_range:
         raise DomainError(
             f"target {target / 1e6:.3g} MHz is outside the reliable "
             f"+-{cal.reliable_range / 1e6:.3g} MHz range"
         )
     a = _conversion(cal, sign)
-    reach = abs(target) + cal.tone_detuning
-    return math.sqrt(reach * reach - cal.tone_detuning * cal.tone_detuning) / a
+    reach = abs(target) + _TONE_DETUNING
+    return math.sqrt(reach * reach - _TONE_DETUNING * _TONE_DETUNING) / a
 
 
 def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit the conversion factor A from (amplitude, measured shift) pairs.
 
-    The tone is taken at the default 80 MHz detuning of StarkCalibration, so
-    the fitted A belongs in a calibration that keeps that tone_detuning.
+    The pairs are taken with the tone at its fixed 80 MHz detuning.
     """
     if len(points) < 3:
         raise DomainError("need at least 3 calibration points")
@@ -359,7 +355,7 @@ def simulate_map(
         pop[k] = np.clip(row, 0.0, 1.0)
 
     times = np.arange(n_rows) * step / 3600.0
-    return SpectroMap(freq_offsets=offsets, times=times, population=pop, wait_time=wait)
+    return SpectroMap(freq_offsets=offsets, times=times, population=pop)
 
 
 def time_average(spectro: SpectroMap) -> np.ndarray:

@@ -565,3 +565,78 @@ def test_tls_scan_model_value_overflowing_to_infinity_is_input_error(tmp_path, c
     err = capsys.readouterr().err
     assert "model.defects[0]" in err and "finite" in err
     assert not out.exists()
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _simulate_argv(tmp_path, wafer=None, output=None):
+    if wafer is None:
+        wafer = write_wafer(tmp_path, jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3))
+    return ["--seed", "5", "--output", str(output or tmp_path / "out"),
+            "simulate-wafer", str(wafer), write_recipe(tmp_path)]
+
+
+def _bytes_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+def _directory(tmp_path, name):
+    path = tmp_path / name
+    path.mkdir()
+    return path
+
+
+def _taken(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("already here\n")
+    return path
+
+
+def _plan_into_directory(tmp_path):
+    wpath = write_wafer(tmp_path, jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3))
+    tpath = tmp_path / "targets.json"
+    jio.write_json(str(tpath), {"min_spacing_mhz": 0.0})
+    out = _directory(tmp_path, "plan_dir")
+    return ["--output", str(out), "plan", wpath, str(tpath)], out, "cannot write"
+
+
+# Each case builds (argv, path the message must name, message) inside tmp_path.
+IO_FAILURES = {
+    "wafer JSON not UTF-8": lambda tmp: (
+        _simulate_argv(tmp, wafer=_bytes_file(tmp, "w.json", b'{"wafer_id": "' + NOT_UTF8)),
+        tmp / "w.json", "not UTF-8 text"),
+    "fit CSV not UTF-8": lambda tmp: (
+        ["--output", str(tmp / "fit.json"), "fit", "dose",
+         str(_bytes_file(tmp, "d.csv", b"power_mw,shift_frac\n10," + NOT_UTF8 + b"\n"))],
+        tmp / "d.csv", "not UTF-8 text"),
+    "map CSV not UTF-8": lambda tmp: (
+        ["--output", str(tmp / "fit.json"), "fit", "tls",
+         str(_bytes_file(tmp, "m.csv", b"time_h,-1.0\n0.0," + NOT_UTF8 + b"\n"))],
+        tmp / "m.csv", "not UTF-8 text"),
+    "wafer is a directory": lambda tmp: (
+        _simulate_argv(tmp, wafer=_directory(tmp, "wdir")), tmp / "wdir", "cannot read"),
+    "map is a directory": lambda tmp: (
+        ["--output", str(tmp / "fit.json"), "fit", "tls", str(_directory(tmp, "mdir"))],
+        tmp / "mdir", "cannot read"),
+    "model is a directory": lambda tmp: (
+        ["--seed", "11", "--output", str(tmp / "scan"), "tls-scan", str(_directory(tmp, "mdl"))],
+        tmp / "mdl", "cannot read"),
+    "output names a file": lambda tmp: (
+        _simulate_argv(tmp, output=_taken(tmp)), tmp / "taken" / "report.json", "cannot write"),
+    "output below a file": lambda tmp: (
+        _simulate_argv(tmp, output=_taken(tmp) / "sub"),
+        tmp / "taken" / "sub" / "report.json", "cannot write"),
+    "plan output is a directory": _plan_into_directory,
+}
+
+
+@pytest.mark.parametrize("case", sorted(IO_FAILURES))
+def test_unreadable_input_or_unwritable_output_is_input_error(tmp_path, capsys, case):
+    argv, path, message = IO_FAILURES[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert list(tmp_path.rglob(".tmp-*")) == []

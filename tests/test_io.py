@@ -369,7 +369,6 @@ class TestMapCsv:
         np.testing.assert_allclose(back.freq_offsets, sp.freq_offsets, rtol=1e-12)
         assert np.array_equal(back.times, sp.times)
         assert np.array_equal(back.population, sp.population)
-        assert back.wait_time == 1.0             # wait is carried separately
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "map.csv"

@@ -29,7 +29,6 @@ NAN, INF = float("nan"), float("inf")
     lambda: jt.TelegraphicDynamics(1.0, 2.0, INF),
     lambda: jt.StarkCalibration(conv_a_neg=NAN),
     lambda: jt.StarkCalibration(conv_a_pos=INF),
-    lambda: jt.StarkCalibration(tone_detuning=NAN),
     lambda: jt.StarkCalibration(reliable_range=NAN),
     lambda: jt.StarkCalibration(reliable_range=0.0),
     lambda: jt.StageNoise(sigma_center=NAN),
@@ -52,3 +51,28 @@ NAN, INF = float("nan"), float("inf")
 def test_dataclasses_reject_non_finite_fields(build):
     with pytest.raises(DomainError):
         build()
+
+
+AGING = jt.AgingParams(0.2, 0.1, 10.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jt.qubit_frequency(NAN),
+    lambda: jt.critical_current(NAN),
+    lambda: jt.resistance_for_frequency(NAN),
+    lambda: jt.resistance_for_frequency(INF),
+    lambda: jt.barrier_resistance(NAN, 0.1),
+    lambda: jt.barrier_resistance(1.0, NAN),
+    lambda: jt.aging_shift(NAN, AGING),
+    lambda: jt.offset_preservation(AGING, AGING, horizon=NAN),
+    lambda: jt.offset_preservation(AGING, AGING, horizon=INF),
+    lambda: jt.junction_temperature(NAN),
+    lambda: jt.absorption_fraction(NAN),
+    lambda: jt.heat_transfer_factor(NAN),
+    lambda: jt.excited_population(NAN, 1.0),
+    lambda: jt.stark_shift(NAN),
+    lambda: jt.amplitude_for_shift(NAN),
+])
+def test_scalar_functions_reject_nan_and_unbounded_arguments(call):
+    with pytest.raises(DomainError):
+        call()

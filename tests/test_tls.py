@@ -134,7 +134,7 @@ class TestStark:
     def test_small_drive_is_quadratic(self):
         cal = jt.StarkCalibration()
         shift = jt.stark_shift(0.01, cal, sign=-1)
-        quadratic = -((cal.conv_a_neg * 0.01) ** 2) / (2.0 * cal.tone_detuning)
+        quadratic = -((cal.conv_a_neg * 0.01) ** 2) / (2.0 * jt.tls._TONE_DETUNING)
         assert shift == pytest.approx(quadratic, rel=5e-3)
 
     @given(st.floats(min_value=1e-4, max_value=0.18))
@@ -176,8 +176,6 @@ class TestStark:
     def test_calibration_validation(self):
         with pytest.raises(DomainError):
             jt.StarkCalibration(conv_a_neg=0.0)
-        with pytest.raises(DomainError):
-            jt.StarkCalibration(tone_detuning=-1.0)
 
     def test_fit_recovers_clean_conversion(self):
         cal = jt.StarkCalibration()
@@ -218,7 +216,6 @@ class TestSpectroMap:
         assert sp.population.shape == (120, 61)
         assert sp.times[0] == 0.0
         assert sp.times[1] == pytest.approx(60.0 / 3600.0, rel=1e-12)
-        assert sp.wait_time == WAIT
 
     def test_seed_determinism(self):
         model = jt.QubitNoiseModel(defects=(jt.TlsDefect(f_offset=7.81e6),))
@@ -317,7 +314,6 @@ class TestSpectroMap:
             freq_offsets=np.array([-1e6, 0.0, 1e6]),
             times=np.array([0.0]),
             population=row,
-            wait_time=1.0,
         )
         assert np.array_equal(jt.time_average(sp), row[0])
 
@@ -327,7 +323,6 @@ class TestSpectroMap:
                 freq_offsets=np.array([0.0, 1.0]),
                 times=np.array([0.0]),
                 population=np.zeros((2, 2)),
-                wait_time=1.0,
             )
 
 
