@@ -46,12 +46,12 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     report = run_batch(wafer, recipe, master_seed=seed)
     directory = args.output or "."
-    jio.write_json(os.path.join(directory, "report.json"), jio.batch_report_to_doc(report))
+    doc = jio.batch_report_to_doc(report)
+    jio.write_json(os.path.join(directory, "report.json"), doc)
     jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
-    n_passed = sum(1 for row in report.entries if row.qc_status == "passed")
     print(
-        f"{wafer.wafer_id}: {len(report.entries)} junctions, {n_passed} annealed, "
-        f"estimated wall time {report.estimated_wall_time_s:.0f} s"
+        f"{doc['wafer_id']}: {doc['n_junctions']} junctions, {doc['n_passed']} annealed, "
+        f"estimated wall time {doc['estimated_wall_time_s']:.0f} s"
     )
     return 0
 
@@ -193,31 +193,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
-    targets_doc = jio.load_json(args.targets)
     junctions = sorted(wafer.junctions, key=lambda j: j.id)
+    targets, spacing = jio.targets_from_doc(
+        jio.load_json(args.targets), [j.id for j in junctions]
+    )
     freqs = [qubit_frequency(j.resistance) for j in junctions]
-
-    if "targets_ghz" in targets_doc:
-        mapping = targets_doc["targets_ghz"]
-        if not isinstance(mapping, dict):
-            raise SchemaError("targets.targets_ghz: expected an object of id -> GHz")
-        missing = [j.id for j in junctions if j.id not in mapping]
-        if missing:
-            raise SchemaError(f"targets.targets_ghz: missing junctions {missing[:5]}")
-        targets = []
-        for j in junctions:
-            value = mapping[j.id]
-            if not jio.is_finite_number(value):
-                raise SchemaError(f"targets.targets_ghz.{j.id}: expected a finite number")
-            targets.append(float(value) * 1e9)
-    elif "min_spacing_mhz" in targets_doc:
-        spacing = targets_doc["min_spacing_mhz"]
-        if not jio.is_finite_number(spacing) or spacing < 0:
-            raise SchemaError("targets.min_spacing_mhz: expected a finite non-negative number")
-        targets = allocate_targets(freqs, float(spacing) * 1e6)
-    else:
-        raise SchemaError("targets: need either targets_ghz or min_spacing_mhz")
-
+    if targets is None:
+        targets = allocate_targets(freqs, spacing)
     entries = []
     for junction, f_now, f_target in zip(junctions, freqs, targets):
         shift = required_shift(f_now, f_target)
@@ -256,22 +238,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             model, stochastic=replace(model.stochastic, relative_sigma=args.shot_noise_sigma)
         )
     by_id = {j.id: j for j in wafer.junctions}
-    raw_entries = plan.get("junctions") if isinstance(plan, dict) else None
-    if not isinstance(raw_entries, list):
-        raise SchemaError("plan.junctions: missing or not a list")
-    ids, targets = [], []
-    for index, entry in enumerate(raw_entries):
-        path = f"plan.junctions[{index}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{path}: expected an object")
-        jid = entry.get("id")
-        if jid not in by_id:
-            raise SchemaError(f"{path}.id: junction {jid!r} is not on the wafer")
-        target = entry.get("f_target_ghz")
-        if not jio.is_finite_number(target):
-            raise SchemaError(f"{path}.f_target_ghz: expected a finite number")
-        ids.append(jid)
-        targets.append(float(target) * 1e9)
+    ids, targets = jio.plan_from_doc(plan, by_id)
     traces = [
         iterative_tune(
             JunctionState(resistance=by_id[jid].resistance),
@@ -308,7 +275,11 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
         raise SchemaError("--f-max-mhz must exceed --f-min-mhz")
     if args.f_step_mhz <= 0:
         raise SchemaError("--f-step-mhz must be positive")
-    offsets = np.arange(args.f_min_mhz, args.f_max_mhz + args.f_step_mhz / 2, args.f_step_mhz) * 1e6
+    try:
+        offsets = np.arange(args.f_min_mhz, args.f_max_mhz + args.f_step_mhz / 2, args.f_step_mhz)
+    except (ValueError, MemoryError):
+        raise SchemaError("the --f-min-mhz to --f-max-mhz grid in --f-step-mhz steps is too large")
+    offsets = offsets * 1e6
     wait = args.wait_us * 1e-6
     spectro = simulate_map(
         model,
@@ -324,17 +295,18 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
     )
     directory = args.output or "."
     jio.atomic_write_text(os.path.join(directory, "map.csv"), jio.map_csv(spectro))
-    jio.write_json(os.path.join(directory, "defects.json"), jio.extraction_to_doc(extraction, wait))
-    print(_extraction_summary(extraction))
+    doc = jio.extraction_to_doc(extraction, wait)
+    jio.write_json(os.path.join(directory, "defects.json"), doc)
+    print(_extraction_summary(doc))
     return 0
 
 
-def _extraction_summary(extraction) -> str:
-    if not extraction.persistent:
-        return "no persistent defect"
+def _extraction_summary(doc: dict) -> str:
+    if not doc["persistent_defect"]:
+        return doc["outcome"]
     parts = [
-        f"{fit.params[0] / 1e6:+.2f} MHz (g {fit.params[1] / 1e3:.1f} kHz)"
-        for fit in extraction.defects
+        f"{defect['f_offset_mhz']:+.2f} MHz (g {defect['coupling_g_khz']:.1f} kHz)"
+        for defect in doc["defects"]
     ]
     return "persistent defect at " + ", ".join(parts)
 

@@ -16,8 +16,9 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
-from typing import Any, Iterable, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -41,11 +42,12 @@ __all__ = [
     "json_text",
     "write_json",
     "load_json",
-    "is_finite_number",
     "wafer_from_doc",
     "wafer_to_doc",
     "recipe_from_doc",
     "recipe_to_doc",
+    "targets_from_doc",
+    "plan_from_doc",
     "batch_report_to_doc",
     "batch_report_csv",
     "read_aging_csv",
@@ -178,31 +180,25 @@ def _reading(path: str):
 
 def load_json(path: str) -> Any:
     with _reading(path), open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})")
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer beyond Python's digit limit
+        raise SchemaError(f"{path}: invalid JSON ({exc})")
 
 
 # ------------------------------------------------------------- validation
 
 _REQUIRED = object()
-
-
-def is_finite_number(value: Any) -> bool:
-    """True for a number (not a bool) that is a finite float or fits in one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+_NUMBERS = {float: ((int, float), "a number"), int: (int, "an integer")}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
-    """Field ``key`` of ``doc`` checked as ``kind``; numbers must be finite.
+    """Field ``key`` of ``doc`` checked as ``kind``.
 
-    A missing field is an error unless a ``default`` is given.
+    A missing field is an error unless a ``default`` is given. Numbers, the
+    integers too, must lie within the finite float range.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")
@@ -211,16 +207,13 @@ def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
             raise SchemaError(f"{path}.{key}: missing required field")
         return default
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.{key}: expected a number, got {value!r}")
-        if not is_finite_number(value):
+    if kind in _NUMBERS:
+        types, name = _NUMBERS[kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise SchemaError(f"{path}.{key}: expected {name}, got {value!r}")
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, infinity or a too large integer
             raise SchemaError(f"{path}.{key}: expected a finite number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
+        return float(value) if kind is float else value
     if not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -489,20 +482,16 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
     gamma_1q = _positive(_need(doc, "gamma_1q_per_s", float, "model"), "model.gamma_1q_per_s")
     readout = _need(doc, "readout_noise_sigma", float, "model")
     defects = []
-    for index, raw in enumerate(doc.get("defects", [])):
+    for index, raw in enumerate(_need(doc, "defects", list, "model", default=[])):
         path = f"model.defects[{index}]"
+        raw_dynamics = _need(raw, "dynamics", dict, path, default={"kind": "static"})
         try:
-            dynamics = (
-                _dynamics_from_doc(raw["dynamics"], f"{path}.dynamics")
-                if "dynamics" in raw
-                else StaticDynamics()
-            )
             defects.append(
                 TlsDefect(
                     f_offset=_need(raw, "f_offset_mhz", float, path) * 1e6,
                     coupling_g=_need(raw, "coupling_g_khz", float, path) * 1e3,
                     gamma_total=_need(raw, "gamma_total_mhz", float, path) * 1e6,
-                    dynamics=dynamics,
+                    dynamics=_dynamics_from_doc(raw_dynamics, f"{path}.dynamics"),
                 )
             )
         except DomainError as exc:
@@ -574,7 +563,47 @@ def extraction_to_doc(extraction: TlsExtraction, wait: float) -> dict:
     }
 
 
-# ------------------------------------------------------------ plan/traces
+# ------------------------------------------------------- targets/plan/traces
+
+def targets_from_doc(
+    doc: dict, junction_ids: Sequence[str]
+) -> tuple[list[float] | None, float | None]:
+    """``(targets, spacing)`` of a targets document; exactly one is None.
+
+    ``targets`` holds each junction's target frequency in Hz, in the order of
+    ``junction_ids``; ``spacing`` is the minimum spacing in Hz.
+    """
+    mapping = _need(doc, "targets_ghz", dict, "targets", default=None)
+    spacing = _need(doc, "min_spacing_mhz", float, "targets", default=None)
+    if (mapping is None) == (spacing is None):
+        raise SchemaError("targets: need exactly one of targets_ghz or min_spacing_mhz")
+    if mapping is not None:
+        targets = [_need(mapping, jid, float, "targets.targets_ghz") * 1e9 for jid in junction_ids]
+        return targets, None
+    if spacing < 0:
+        raise SchemaError(f"targets.min_spacing_mhz: must be non-negative, got {spacing!r}")
+    return None, spacing * 1e6
+
+
+def plan_from_doc(doc: dict, junction_ids: Container[str]) -> tuple[list[str], list[float]]:
+    """Ids and target frequencies (Hz) of a plan's junctions, in document order.
+
+    Every id must be one of ``junction_ids``.
+    """
+    try:
+        raw_entries = _need(doc, "junctions", list, "plan")
+    except SchemaError:
+        raise SchemaError("plan.junctions: missing or not a list") from None
+    ids, targets = [], []
+    for index, entry in enumerate(raw_entries):
+        path = f"plan.junctions[{index}]"
+        jid = _need(entry, "id", str, path)
+        if jid not in junction_ids:
+            raise SchemaError(f"{path}.id: junction {jid!r} is not on the wafer")
+        ids.append(jid)
+        targets.append(_need(entry, "f_target_ghz", float, path) * 1e9)
+    return ids, targets
+
 
 def plan_to_doc(wafer_id: str, entries: Sequence[dict]) -> dict:
     return {"wafer_id": wafer_id, "junctions": list(entries)}

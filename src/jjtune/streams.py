@@ -11,9 +11,9 @@ leading four big-endian 32-bit words of sha256(id). The derivation is done
 here directly, for many ids at once. SeedSequence is O'Neill's seed_seq
 hash (pcg-random.org, 2015), pure uint32 arithmetic in which every
 multiplier depends only on the position of the step, not on the data. The
-master seed's part of the pool mixing is computed once; the four key words
-per id and the state generation then run as uint32 array arithmetic over
-all ids. PCG64's 128-bit ``srandom`` step turns each id's words into the
+pool mixed from the master seed alone comes from ``SeedSequence`` once; the
+four key words per id and the state generation then run as uint32 array
+arithmetic over all ids. PCG64's 128-bit ``srandom`` step turns each id's words into the
 generator's ``(state, inc)``.
 """
 
@@ -79,41 +79,24 @@ _GEN_XOR, _GEN_MUL = _GEN[:-1], _GEN[1:]
 
 @functools.lru_cache(maxsize=8)
 def _seed_pool(master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Everything SeedSequence's pool mixing does before the spawn key.
+    """SeedSequence's pool before the spawn key, and the key steps' constants.
 
     Returns the pool (4 x 1) after the master seed's words are mixed in,
     and the xor and multiply constants (4 x 4 x 1) of the key steps that
-    follow: one row per key word, one column per pool slot. Seeds shorter
-    than the pool are zero-padded, as SeedSequence does when a spawn key
-    follows.
+    follow: one row per key word, one column per pool slot. Mixing the seed
+    takes one step per pool slot and seed word, with the seed zero-padded
+    to the pool size, as SeedSequence does when a spawn key follows;
+    without a spawn key it hashes the same zeros, so its pool is the same.
     """
     seed = operator.index(master_seed)
     if seed < 0:
         raise DomainError(f"master seed must be non-negative, got {seed}")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words = _u32(words + [0] * (_POOL_SIZE - len(words)))
-    n_seed_steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(words) - _POOL_SIZE)
-    consts = _hash_consts(_INIT_A, _MULT_A, n_seed_steps + _POOL_SIZE * _POOL_SIZE)
-    step = 0
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal step
-        step += 1
-        return _hashmix(value, consts[step - 1 : step], consts[step : step + 1])
-
-    pool = [hashmix(words[i : i + 1]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for i in range(_POOL_SIZE, len(words)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(words[i : i + 1]))
+    n_seed_steps = _POOL_SIZE * max(-(-seed.bit_length() // 32), _POOL_SIZE)
+    start = _INIT_A * pow(_MULT_A, n_seed_steps, 1 << 32) & _MASK32
+    consts = _hash_consts(start, _MULT_A, _POOL_SIZE * _POOL_SIZE)
     shape = (_POOL_SIZE, _POOL_SIZE, 1)
-    result = np.stack(pool), consts[step:-1].reshape(shape), consts[step + 1 :].reshape(shape)
+    pool = np.random.SeedSequence(seed).pool.reshape(_POOL_SIZE, 1)
+    result = pool, consts[:-1].reshape(shape), consts[1:].reshape(shape)
     for array in result:  # cached and shared by every caller
         array.setflags(write=False)
     return result

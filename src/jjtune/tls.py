@@ -330,7 +330,14 @@ def simulate_map(
         raise DomainError("duration, step and wait must be positive and finite")
     if not 0.0 <= dropout_probability < 1.0:
         raise DomainError("dropout probability must be in [0, 1)")
-    n_rows = max(int(round(duration * 3600.0 / step)), 1)
+    rows = duration * 3600.0 / step
+    try:
+        pop = np.empty((max(int(round(rows)), 1), offsets.size))
+    except (OverflowError, ValueError, MemoryError):
+        raise DomainError(
+            f"duration {duration:g} h at step {step:g} s gives {rows:.3g} rows, too many for a map"
+        )
+    n_rows = pop.shape[0]
 
     positions = []
     carries = []
@@ -339,7 +346,6 @@ def simulate_map(
         positions.append(dyn.f_a if isinstance(dyn, TelegraphicDynamics) else d.f_offset)
         carries.append(0.0)
 
-    pop = np.empty((n_rows, offsets.size))
     for k in range(n_rows):
         for i, defect in enumerate(model.defects):
             positions[i], carries[i] = _evolve(defect, positions[i], step, carries[i], rng)

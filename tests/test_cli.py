@@ -91,11 +91,25 @@ class TestSimulateWafer:
     def test_bad_repetitions_is_input_error(self, tmp_path, capsys):
         wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
         wpath = write_wafer(tmp_path, wafer)
-        for value in ("x", 2.7):
+        for value in ("x", 2.7, 10**400):
             path = tmp_path / "recipe.json"
             jio.write_json(str(path), {"power_mw": 40.0, "exposure_s": 60.0, "repetitions": value})
             assert main(["--seed", "1", "simulate-wafer", wpath, str(path)]) == 2
             assert "recipe.repetitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, site", [("cols", "col"), ("rows", "row")])
+    def test_grid_beyond_float_range_is_input_error(self, tmp_path, capsys, size, site):
+        doc = jio.wafer_to_doc(jt.synthesize_wafer("W1", 1, 1, 50.0, 7781.0, 0.01, seed=3))
+        doc[size] = 10**400
+        doc["junctions"][0][site] = 10**400 - 1
+        path = tmp_path / "wafer.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["--seed", "1", "--output", str(out),
+                     "simulate-wafer", str(path), write_recipe(tmp_path)])
+        assert code == 2
+        assert f"wafer.{size}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_wafer_doc_names_the_field(self, tmp_path, capsys):
         doc = {
@@ -380,6 +394,22 @@ class TestPlan:
         assert main(["--output", str(tmp_path / "p.json"), "plan", wpath, str(tpath)]) == 2
         assert "targets_ghz or min_spacing_mhz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("targets, message", [
+        (5, "targets: expected an object"),
+        ("targets_ghz", "targets: expected an object"),
+        (["targets_ghz"], "targets: expected an object"),
+        ({"min_spacing_mhz": 50.0, "targets_ghz": {"W-J0": 5.83, "W-J1": 5.69}},
+         "targets: need exactly one of targets_ghz or min_spacing_mhz"),
+    ])
+    def test_targets_shape_is_input_error(self, tmp_path, capsys, targets, message):
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        tpath.write_text(json.dumps(targets))
+        out = tmp_path / "p.json"
+        assert main(["--output", str(out), "plan", wpath, str(tpath)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTune:
     def _setup(self, tmp_path):
@@ -435,6 +465,8 @@ class TestTune:
     @pytest.mark.parametrize("plan, message", [
         ({"junctions": ["W-J0"]}, "plan.junctions[0]: expected an object"),
         ([], "plan.junctions: missing or not a list"),
+        ({"junctions": [{"id": [1], "f_target_ghz": 5.0}]}, "plan.junctions[0].id: expected str"),
+        ({"junctions": [{"id": {}, "f_target_ghz": 5.0}]}, "plan.junctions[0].id: expected str"),
     ])
     def test_plan_shape_is_input_error(self, tmp_path, capsys, plan, message):
         wpath, _ = self._setup(tmp_path)
@@ -521,6 +553,32 @@ class TestTlsScan:
         out = tmp_path / "scan"
         assert main(["--seed", "11", "--output", str(out), "tls-scan", mpath, flag, value]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Only values that numpy refuses before allocating anything: a grid of
+    # a few gigabytes might be allocated and filled instead of refused.
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--duration-h", "1e300", "duration 1e+300 h"),
+        ("--step-s", "1e-300", "step 1e-300 s"),
+        ("--f-step-mhz", "1e-300", "--f-step-mhz steps is too large"),
+    ])
+    def test_grid_too_large_is_input_error(self, tmp_path, capsys, flag, value, message):
+        mpath = self._model_doc(tmp_path, [])
+        out = tmp_path / "scan"
+        assert main(["--seed", "11", "--output", str(out), "tls-scan", mpath, flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defects, message", [
+        (None, "model.defects: expected list"),
+        (5, "model.defects: expected list"),
+        ([5], "model.defects[0]: expected an object"),
+    ])
+    def test_defects_shape_is_input_error(self, tmp_path, capsys, defects, message):
+        mpath = self._model_doc(tmp_path, defects)
+        out = tmp_path / "scan"
+        assert main(["--seed", "11", "--output", str(out), "tls-scan", mpath]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -616,6 +674,9 @@ IO_FAILURES = {
         ["--output", str(tmp / "fit.json"), "fit", "tls",
          str(_bytes_file(tmp, "m.csv", b"time_h,-1.0\n0.0," + NOT_UTF8 + b"\n"))],
         tmp / "m.csv", "not UTF-8 text"),
+    "wafer JSON integer beyond the digit limit": lambda tmp: (
+        _simulate_argv(tmp, wafer=_bytes_file(tmp, "w.json", b'{"rows": 1' + b"0" * 5000 + b"}")),
+        tmp / "w.json", "invalid JSON"),
     "wafer is a directory": lambda tmp: (
         _simulate_argv(tmp, wafer=_directory(tmp, "wdir")), tmp / "wdir", "cannot read"),
     "map is a directory": lambda tmp: (
