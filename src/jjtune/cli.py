@@ -9,25 +9,51 @@ written atomically; stochastic commands are deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io as jio
-from .aging import fit_aging_samples
-from .dose import JunctionState, absorption_fraction, default_dose_model
 from .errors import DomainError, FitError, InfeasibleError, SchemaError
-from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
-from .physics import qubit_frequency
-from .streams import child_rng, stream_rngs
-from .tls import extract_tls, fit_stark, simulate_map, time_average
-from .tuner import TunePolicy, allocate_targets, iterative_tune, recipe_for_shift, required_shift
-from .wafer import run_batch
+
+if TYPE_CHECKING:
+    from .fitkit import FitResult
 
 __all__ = ["main"]
+
+
+def _on_call(module: str, name: str):
+    """``jjtune.<module>.<name>``, imported at its first call.
+
+    A command so loads only the modules it runs. The handlers look the name
+    up in this module when they run, so a wrapper set on it here is used.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+        return target(*args, **kwargs)
+
+    return call
+
+
+child_rng = _on_call("streams", "child_rng")
+run_batch = _on_call("wafer", "run_batch")
+default_dose_model = _on_call("dose", "default_dose_model")
+required_shift = _on_call("tuner", "required_shift")
+recipe_for_shift = _on_call("tuner", "recipe_for_shift")
+iterative_tune = _on_call("tuner", "iterative_tune")
+qubit_frequency = _on_call("physics", "qubit_frequency")
+simulate_map = _on_call("tls", "simulate_map")
+time_average = _on_call("tls", "time_average")
+extract_tls = _on_call("tls", "extract_tls")
 
 
 def _require_seed(args: argparse.Namespace) -> int:
@@ -59,6 +85,8 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- fit
 
 def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
     rows = jio.read_columns_csv(path, ["power_mw", "shift_frac"])
     powers = np.array([row[0] for row in rows])
     shifts = np.array([row[1] for row in rows])
@@ -80,6 +108,9 @@ def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
+    from .dose import absorption_fraction
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
     rows = jio.read_columns_csv(path, ["displacement_um", "response_frac"])
     displacement = np.array([row[0] for row in rows])
     response = np.array([row[1] for row in rows])
@@ -100,6 +131,8 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
     rows = jio.read_columns_csv(path, ["thickness_nm", "area_um2", "resistance_ohm"])
     thickness = np.array([row[0] for row in rows])
     resistance_area = np.array([row[1] * row[2] for row in rows])
@@ -120,6 +153,8 @@ def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
+    from .tls import fit_stark
+
     rows = jio.read_columns_csv(path, ["amplitude", "shift_mhz"])
     points = [(row[0], row[1] * 1e6) for row in rows]
     fit = fit_stark(points)
@@ -133,6 +168,8 @@ def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]]:
+    from .aging import fit_aging_samples
+
     series = jio.read_aging_csv(args.data)
     if args.wafer:
         series = [s for s in series if s.wafer_label == args.wafer]
@@ -192,6 +229,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- plan
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .tuner import allocate_targets
+
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     junctions = sorted(wafer.junctions, key=lambda j: j.id)
     targets, spacing = jio.targets_from_doc(
@@ -223,6 +262,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- tune
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from .dose import JunctionState
+    from .streams import stream_rngs
+    from .tuner import TunePolicy
+
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     plan = jio.load_json(args.plan)
     seed = _require_seed(args)

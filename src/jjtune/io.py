@@ -18,24 +18,18 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Container, Iterable, Sequence
 
 import numpy as np
 
-from .aging import AgingSeries
-from .dose import LasingRecipe
 from .errors import DomainError, SchemaError
-from .tls import (
-    DriftingDynamics,
-    QubitNoiseModel,
-    SpectroMap,
-    StaticDynamics,
-    TelegraphicDynamics,
-    TlsDefect,
-    TlsExtraction,
-)
-from .tuner import TuneTrace
-from .wafer import BatchReport, JunctionRecord, WaferLayout
+
+if TYPE_CHECKING:  # each reader imports the types it builds when it runs
+    from .aging import AgingSeries
+    from .dose import LasingRecipe
+    from .tls import QubitNoiseModel, SpectroMap, TlsExtraction
+    from .tuner import TuneTrace
+    from .wafer import BatchReport, WaferLayout
 
 __all__ = [
     "atomic_write_text",
@@ -210,18 +204,24 @@ def _need(doc: dict, key: str, kind, path: str, default=_REQUIRED):
     if kind in _NUMBERS:
         types, name = _NUMBERS[kind]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise SchemaError(f"{path}.{key}: expected {name}, got {value!r}")
+            raise SchemaError(f"{path}.{key}: expected {name}, got {_shown(value)}")
         if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, infinity or a too large integer
-            raise SchemaError(f"{path}.{key}: expected a finite number, got {value!r}")
+            raise SchemaError(f"{path}.{key}: expected a finite number, got {_shown(value)}")
         return float(value) if kind is float else value
     if not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)``, cut to 40 characters so a huge value keeps its message short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _positive(value: float, label: str) -> float:
     if value <= 0:
-        raise SchemaError(f"{label}: must be positive, got {value!r}")
+        raise SchemaError(f"{label}: must be positive, got {_shown(value)}")
     return value
 
 
@@ -241,6 +241,8 @@ def _junction_fields(raw: dict, path: str, rows: int, cols: int) -> tuple:
 
 
 def wafer_from_doc(doc: dict) -> WaferLayout:
+    from .wafer import JunctionRecord, WaferLayout
+
     wafer_id = _need(doc, "wafer_id", str, "wafer")
     rows = _need(doc, "rows", int, "wafer")
     cols = _need(doc, "cols", int, "wafer")
@@ -306,6 +308,8 @@ def wafer_to_doc(wafer: WaferLayout) -> dict:
 # ---------------------------------------------------------------- recipe
 
 def recipe_from_doc(doc: dict) -> LasingRecipe:
+    from .dose import LasingRecipe
+
     power = _need(doc, "power_mw", float, "recipe")
     exposure = _need(doc, "exposure_s", float, "recipe")
     repetitions = _need(doc, "repetitions", int, "recipe", default=1)
@@ -393,6 +397,8 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
     Columns: junction_id, day, resistance_ohm, cohort, wafer, optional
     r0_ohm (reference resistance; defaults to the series' first sample).
     """
+    from .aging import AgingSeries
+
     rows = _read_csv_rows(path, ["junction_id", "day", "resistance_ohm", "cohort", "wafer"])
     groups: dict[tuple[str, str, str], list] = {}
     r0s: dict[tuple[str, str, str], float] = {}
@@ -461,6 +467,8 @@ def fit_report_doc(
 # ------------------------------------------------------------ TLS formats
 
 def _dynamics_from_doc(doc: dict, path: str):
+    from .tls import DriftingDynamics, StaticDynamics, TelegraphicDynamics
+
     kind = _need(doc, "kind", str, path)
     if kind == "static":
         return StaticDynamics()
@@ -479,6 +487,8 @@ def _dynamics_from_doc(doc: dict, path: str):
 
 
 def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
+    from .tls import QubitNoiseModel, TlsDefect
+
     gamma_1q = _positive(_need(doc, "gamma_1q_per_s", float, "model"), "model.gamma_1q_per_s")
     readout = _need(doc, "readout_noise_sigma", float, "model")
     defects = []
@@ -511,9 +521,57 @@ def map_csv(spectro: SpectroMap) -> str:
     return _csv_text(header, rows)
 
 
+def _numeric_map(handle) -> tuple | None:
+    """``(offsets, matrix)`` of a plainly well-formed map, its body parsed by
+    one ``np.loadtxt`` call, or None for any other input.
+
+    ``matrix`` holds the times in column 0. On None the caller reads the
+    file again with the csv reader, which gives every message.
+    """
+    header = handle.readline().rstrip("\r\n").split(",")
+    first = handle.readline()
+    if header[0] != "time_h" or not first:  # no body: loadtxt would warn
+        return None
+
+    def lines():
+        for line in itertools.chain([first], handle):
+            if line.isspace():  # loadtxt skips blank lines; the csv reader refuses them
+                raise ValueError("blank line")
+            yield line
+
+    try:
+        with np.errstate(over="ignore"):  # the csv reader warns, then refuses
+            offsets = np.array([float(v) for v in header[1:]]) * 1e6
+        matrix = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    rectangular = matrix.shape[1] == offsets.size + 1
+    if not (rectangular and np.isfinite(offsets).all() and np.isfinite(matrix).all()):
+        return None
+    return offsets, matrix
+
+
 def read_map_csv(path: str) -> SpectroMap:
+    from .tls import SpectroMap
+
     with _reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+        parsed = _numeric_map(handle)
+        if parsed is None:
+            handle.seek(0)
+            rows = list(csv.reader(handle))
+    if parsed is not None:
+        offsets, matrix = parsed
+        times, population = matrix[:, 0].copy(), matrix[:, 1:].copy()
+    else:
+        offsets, times, population = _map_from_rows(rows, path)
+    try:
+        return SpectroMap(freq_offsets=offsets, times=times, population=population)
+    except DomainError as exc:
+        raise SchemaError(f"{path}: {exc}")
+
+
+def _map_from_rows(rows: list[list[str]], path: str) -> tuple:
+    """``(offsets, times, population)`` of csv rows, with a message for each fault."""
     if not rows or rows[0][:1] != ["time_h"]:
         raise SchemaError(f"{path}: expected a map CSV with a 'time_h' header column")
     try:
@@ -524,15 +582,13 @@ def read_map_csv(path: str) -> SpectroMap:
         raise SchemaError(f"{path}: malformed map matrix ({exc})")
     if not (np.isfinite(offsets).all() and np.isfinite(times).all()
             and np.isfinite(population).all()):
-        line = next(
-            n for n, row in enumerate(rows, start=1)
-            if not all(math.isfinite(float(v)) for v in (row[1:] if n == 1 else row))
+        line = next(  # else an offset is finite in MHz but overflows in Hz: line 1
+            (n for n, row in enumerate(rows, start=1)
+             if not all(math.isfinite(float(v)) for v in (row[1:] if n == 1 else row))),
+            1,
         )
         raise SchemaError(f"{path}:{line}: map matrix holds a non-finite value")
-    try:
-        return SpectroMap(freq_offsets=offsets, times=times, population=population)
-    except DomainError as exc:
-        raise SchemaError(f"{path}: {exc}")
+    return offsets, times, population
 
 
 def extraction_to_doc(extraction: TlsExtraction, wait: float) -> dict:

@@ -1,10 +1,9 @@
 """Every module's ``__all__`` names only attributes the module defines, and
-the package exports exactly the union of the ``__all__`` lists it star-imports."""
+the package exports exactly the union of the ``__all__`` lists of the library
+modules it lists."""
 
-import ast
 import collections
 import importlib
-import inspect
 import pkgutil
 import types
 
@@ -14,11 +13,7 @@ import jjtune
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(jjtune.__path__))
 
-STARRED = [
-    node.module
-    for node in ast.parse(inspect.getsource(jjtune)).body
-    if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]
-]
+LIBRARY = list(jjtune._MODULES)
 
 
 def _all(name):
@@ -38,22 +33,37 @@ def test_star_import_resolves(name):
 
 
 def test_package_star_imports_every_library_module():
-    assert set(STARRED) == set(MODULES) - {"cli", "io"}
+    assert sorted(LIBRARY) == sorted(set(MODULES) - {"cli", "io"})
 
 
-@pytest.mark.parametrize("name", STARRED)
+@pytest.mark.parametrize("name", LIBRARY)
 def test_star_imported_module_declares_all(name):
     assert hasattr(importlib.import_module(f"jjtune.{name}"), "__all__")
 
 
 def test_no_name_is_exported_by_two_modules():
-    counts = collections.Counter(n for name in STARRED for n in _all(name))
+    counts = collections.Counter(n for name in LIBRARY for n in _all(name))
     assert [n for n, k in counts.items() if k > 1] == []
 
 
 def test_package_exports_exactly_the_modules_all():
+    union = {n for name in LIBRARY for n in _all(name)}
     public = {
-        n for n, v in vars(jjtune).items()
-        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        n for n in dir(jjtune)
+        if not n.startswith("_") and not isinstance(getattr(jjtune, n), types.ModuleType)
     }
-    assert public == {n for name in STARRED for n in _all(name)}
+    assert public == union
+    namespace: dict = {}
+    exec("from jjtune import *", namespace)
+    assert set(namespace) - {"__builtins__"} == union
+    for name in LIBRARY:
+        module = importlib.import_module(f"jjtune.{name}")
+        for n in module.__all__:
+            assert getattr(jjtune, n) is getattr(module, n)
+            assert namespace[n] is getattr(module, n)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jjtune.no_such_name
+    assert not hasattr(jjtune, "no_such_name")
