@@ -38,7 +38,7 @@ def _exports() -> list:
 def __getattr__(name: str):
     if name in _MODULES or name in ("cli", "io"):
         return _import_module(f".{name}", __name__)
-    if name == "__all__" or name in _exports():
+    if name in _exports() or name == "__all__":
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import jjtune as jt
 import jjtune.io as jio
@@ -19,10 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 REPORT = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('jjtune'))))"
 
 
-def _loaded(code, cwd):
+def _last_line(code, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code + REPORT],
+        [sys.executable, "-c", code],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -30,7 +31,11 @@ def _loaded(code, cwd):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("jjtune.") for name in json.loads(proc.stdout.splitlines()[-1])}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded(code, cwd):
+    return {name.removeprefix("jjtune.") for name in _last_line(code + REPORT, cwd)}
 
 
 def _main(*argv):
@@ -39,6 +44,19 @@ def _main(*argv):
 
 def test_package_import_loads_no_submodule(tmp_path):
     assert _loaded("import jjtune", tmp_path) == {"jjtune"}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "before = set(dir())\nfrom jjtune import *\nprint(json.dumps(sorted(set(dir()) - before - {'before'})))",
+        "import jjtune\nprint(json.dumps(sorted(jjtune.__all__)))",
+        "import jjtune\nassert hasattr(jjtune, '__all__')\nprint(json.dumps(sorted(getattr(jjtune, '__all__', None))))",
+    ],
+    ids=["star-import", "attribute", "hasattr-getattr"],
+)
+def test_all_is_the_union_before_any_other_lookup(code, tmp_path):
+    assert _last_line("import json\n" + code, tmp_path) == sorted(jt.__all__)
 
 
 def test_cli_import_loads_only_errors_and_io(tmp_path):
