@@ -116,8 +116,9 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
     response = np.array([row[1] for row in rows])
     beam = default_dose_model().beam
 
+    absorbed = np.array([absorption_fraction(v, beam) for v in displacement.tolist()])
+
     def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        absorbed = np.array([absorption_fraction(v, beam) for v in d.tolist()])
         return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
 
     names = ("scale", "decay_d0_um", "transfer_offset_b")
@@ -194,12 +195,7 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
 def _cmd_fit(args: argparse.Namespace) -> int:
     out_path = args.output or "fit_report.json"
     if args.kind == "tls":
-        spectro = jio.read_map_csv(args.data)
-        wait = args.wait_us * 1e-6
-        extraction = extract_tls(
-            spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
-        )
-        doc = jio.extraction_to_doc(extraction, wait)
+        doc = _extraction_doc(jio.read_map_csv(args.data), args)
         doc["model"] = "tls"
         jio.write_json(out_path, doc)
         print(doc["outcome"])
@@ -333,15 +329,21 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
         rng=child_rng(seed, "tls-scan"),
         dropout_probability=args.dropout_probability,
     )
-    extraction = extract_tls(
-        spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
-    )
+    doc = _extraction_doc(spectro, args)
     directory = args.output or "."
     jio.atomic_write_text(os.path.join(directory, "map.csv"), jio.map_csv(spectro))
-    doc = jio.extraction_to_doc(extraction, wait)
     jio.write_json(os.path.join(directory, "defects.json"), doc)
     print(_extraction_summary(doc))
     return 0
+
+
+def _extraction_doc(spectro, args: argparse.Namespace) -> dict:
+    """The defects document of the map's time-averaged profile, at ``--wait-us``."""
+    wait = args.wait_us * 1e-6
+    extraction = extract_tls(
+        spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
+    )
+    return jio.extraction_to_doc(extraction, wait)
 
 
 def _extraction_summary(doc: dict) -> str:
@@ -417,15 +419,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
+    except (SchemaError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4

@@ -90,8 +90,8 @@ class DoseResponseParams:
         scales = (self.plateau_m, self.char_temperature_t0, self.char_exposure_u0)
         if not all(0.0 < v < math.inf for v in scales):
             raise DomainError("dose response scales must be positive and finite")
-        if not math.isfinite(self.depth_b):
-            raise DomainError("depth_b must be finite")
+        if not 0.0 <= self.depth_b < math.inf:
+            raise DomainError("depth_b must be non-negative and finite")
         if self.depth_b == 0.0:
             object.__setattr__(self, "depth_b", self.tied_depth(HeatingParams.ambient))
 

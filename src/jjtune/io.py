@@ -113,18 +113,15 @@ def _wrap(brackets: str, inner: str, depth: int) -> str:
 def _encode(value: Any, depth: int, markers: set) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``.
 
-    Flat containers and lists of flat dicts are one C encoder call each;
-    Python walks only the containers that hold other containers. Encoded
-    strings never contain a raw newline, so every ",\\n<pad>" in a C
-    encoder's output is an item separator.
+    Flat containers (through the stub path, with nothing to splice) and lists
+    of flat dicts are one C encoder call each; Python walks only the containers
+    that hold other containers. Encoded strings never contain a raw newline,
+    so every ",\\n<pad>" in a C encoder's output is an item separator.
     """
     if not _nested(value):
         return _encoder(depth).encode(value)
     is_dict = isinstance(value, dict)
     brackets = "{}" if is_dict else "[]"
-    items = list(value.values()) if is_dict else value
-    if _flat(items):
-        return _wrap(brackets, _encoder(depth + 1).encode(value)[1:-1], depth)
     if (not is_dict and set(map(type, value)) == {dict} and all(value)
             and _flat(list(itertools.chain.from_iterable(map(dict.values, value))))):
         # A list of non-empty flat dicts: one call, then break open the braces.
@@ -132,7 +129,7 @@ def _encode(value: Any, depth: int, markers: set) -> str:
         text = _encoder(depth + 2).encode(value)[2:-2].replace(
             "},\n" + inner + "{", f"\n{outer}}},\n{outer}{{\n{inner}")
         return _wrap("[]", _wrap("{}", text, depth + 1), depth)
-    # Mixed: one call with every nested value as null, then splice them in.
+    # Any other: one call with every nested value as null, then splice them in.
     if id(value) in markers:
         raise ValueError("Circular reference detected")
     markers.add(id(value))
@@ -140,6 +137,7 @@ def _encode(value: Any, depth: int, markers: set) -> str:
         items = [value[key] for key in sorted(value)]
         stub = {key: None if _nested(v) else v for key, v in value.items()}
     else:
+        items = value
         stub = [None if _nested(v) else v for v in value]
     separator = ",\n" + _INDENT * (depth + 1)
     pieces = _encoder(depth + 1).encode(stub)[1:-1].split(separator)
@@ -170,6 +168,15 @@ def _reading(path: str):
         raise SchemaError(f"{path}: cannot read ({exc.strerror})")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start})")
+
+
+@contextlib.contextmanager
+def _schema_errors(prefix: str):
+    """Turn a DomainError raised while building a record into a SchemaError under prefix."""
+    try:
+        yield
+    except DomainError as exc:
+        raise SchemaError(f"{prefix}: {exc}")
 
 
 def load_json(path: str) -> Any:
@@ -273,12 +280,10 @@ def wafer_from_doc(doc: dict) -> WaferLayout:
                 f"wafer.junctions[{index}]: site ({row}, {col}) already holds a junction"
             )
         junctions.append(JunctionRecord(jid, (col * pitch, row * pitch), area, resistance, age))
-    try:
+    with _schema_errors("wafer"):
         return WaferLayout(
             wafer_id=wafer_id, rows=rows, cols=cols, pitch=pitch, junctions=tuple(junctions)
         )
-    except DomainError as exc:
-        raise SchemaError(f"wafer: {exc}")
 
 
 def wafer_to_doc(wafer: WaferLayout) -> dict:
@@ -314,12 +319,10 @@ def recipe_from_doc(doc: dict) -> LasingRecipe:
     exposure = _need(doc, "exposure_s", float, "recipe")
     repetitions = _need(doc, "repetitions", int, "recipe", default=1)
     displacement = _need(doc, "displacement_um", float, "recipe", default=0.0)
-    try:
+    with _schema_errors("recipe"):  # malformed values; the power cap stays infeasible
         return LasingRecipe(
             power=power, exposure=exposure, repetitions=repetitions, displacement=displacement
         )
-    except DomainError as exc:  # malformed values are schema errors; power cap stays infeasible
-        raise SchemaError(f"recipe: {exc}")
 
 
 def recipe_to_doc(recipe: LasingRecipe) -> dict:
@@ -417,7 +420,7 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
     series = []
     for (wafer_label, cohort, junction_id), samples in sorted(groups.items()):
         samples.sort(key=lambda pair: pair[0])
-        try:
+        with _schema_errors(f"{path}: series {junction_id!r}"):
             series.append(
                 AgingSeries(
                     junction_id=junction_id,
@@ -427,8 +430,6 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
                     r0_ohm=r0s.get((wafer_label, cohort, junction_id), 0.0),
                 )
             )
-        except DomainError as exc:
-            raise SchemaError(f"{path}: series {junction_id!r}: {exc}")
     if not series:
         raise SchemaError(f"{path}: no data rows")
     return series
@@ -495,7 +496,7 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
     for index, raw in enumerate(_need(doc, "defects", list, "model", default=[])):
         path = f"model.defects[{index}]"
         raw_dynamics = _need(raw, "dynamics", dict, path, default={"kind": "static"})
-        try:
+        with _schema_errors(path):
             defects.append(
                 TlsDefect(
                     f_offset=_need(raw, "f_offset_mhz", float, path) * 1e6,
@@ -504,14 +505,10 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
                     dynamics=_dynamics_from_doc(raw_dynamics, f"{path}.dynamics"),
                 )
             )
-        except DomainError as exc:
-            raise SchemaError(f"{path}: {exc}")
-    try:
+    with _schema_errors("model"):
         return QubitNoiseModel(
             gamma_1q=gamma_1q, defects=tuple(defects), readout_noise_sigma=readout
         )
-    except DomainError as exc:
-        raise SchemaError(f"model: {exc}")
 
 
 def map_csv(spectro: SpectroMap) -> str:
@@ -564,10 +561,8 @@ def read_map_csv(path: str) -> SpectroMap:
         times, population = matrix[:, 0].copy(), matrix[:, 1:].copy()
     else:
         offsets, times, population = _map_from_rows(rows, path)
-    try:
+    with _schema_errors(path):
         return SpectroMap(freq_offsets=offsets, times=times, population=population)
-    except DomainError as exc:
-        raise SchemaError(f"{path}: {exc}")
 
 
 def _map_from_rows(rows: list[list[str]], path: str) -> tuple:

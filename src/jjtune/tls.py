@@ -453,25 +453,15 @@ def extract_tls(
 
     while len(found) > 1:
         for _ in range(6):
-            moved = 0.0
-            refined: list[FitResult] = []
-            for k in range(len(found)):
-                others = sum(
-                    _excess(offsets - f.params[0], f.params[1], f.params[2])
-                    for j, f in enumerate(found)
-                    if j != k
-                )
-                refit = _fit_one_defect(offsets, rates - others)
-                moved = max(
-                    moved,
-                    float(
-                        np.max(
-                            np.abs(refit.params - found[k].params)
-                            / (np.abs(found[k].params) + 1e-300)
-                        )
-                    ),
-                )
-                refined.append(refit)
+            peaks = [_excess(offsets - f.params[0], f.params[1], f.params[2]) for f in found]
+            refined = [
+                _fit_one_defect(offsets, rates - sum(p for j, p in enumerate(peaks) if j != k))
+                for k in range(len(found))
+            ]
+            moved = max(
+                float(np.max(np.abs(r.params - f.params) / (np.abs(f.params) + 1e-300)))
+                for r, f in zip(refined, found)
+            )
             found = refined
             if moved < 1e-3:
                 break

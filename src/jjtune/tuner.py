@@ -232,7 +232,7 @@ def iterative_tune(
     r_aim = resistance_for_frequency(f_aim)
     mu_ceiling = _single_shot_ceiling(model, DEFAULT_RECIPE.exposure)
 
-    state = JunctionState(resistance=junction.resistance, history=junction.history)
+    state = junction
     fused_logs: list[float] = []
     rows: list[TuneIteration] = []
     outcome: str = "exhausted"

@@ -268,6 +268,9 @@ class TestFit:
     @pytest.mark.parametrize("kind, text, flags, message", [
         ("displacement", "displacement_um,response_frac\n0,0.01\n-1,0.02\n2,0.01\n3,0.005\n",
          [], "displacement must be non-negative"),
+        ("aging", "junction_id,day,resistance_ohm,cohort,wafer,r0_ohm\n"
+                  "J1,0,7800,annealed,W1,-5\nJ1,10,7810,annealed,W1,-5\n",
+         [], "data.csv: series 'J1': reference resistance must be positive"),
         ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
          ["--wait-us", "nan"], "wait must be positive and finite"),
         ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
@@ -701,3 +704,47 @@ def test_unreadable_input_or_unwritable_output_is_input_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"{path}: {message}" in err
     assert list(tmp_path.rglob(".tmp-*")) == []
+
+
+def _model_argv(tmp_path, readout, *flags):
+    path = tmp_path / "model.json"
+    jio.write_json(str(path), {"gamma_1q_per_s": 21505.376344086024,
+                               "readout_noise_sigma": readout, "defects": []})
+    return ["--seed", "11", "--output", str(tmp_path / "out"), "tls-scan", str(path), *flags]
+
+
+def _fit_argv(tmp_path, kind, text, *flags):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    return ["--output", str(tmp_path / "out"), "fit", kind, str(data), *flags]
+
+
+# Each case is (argv builder, the message); "{data}" stands for the input CSV's path.
+INPUT_FAILURES = {
+    "negative readout noise": (
+        lambda tmp: _model_argv(tmp, -1),
+        "model: readout noise must be non-negative and finite"),
+    "zero frequency step": (
+        lambda tmp: _model_argv(tmp, 0.02, "--f-step-mhz", "0"),
+        "--f-step-mhz must be positive"),
+    "empty dose cell": (
+        lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n10,0.01\n20,\n"),
+        "{data}:3: empty value in column 'shift_frac'"),
+    "dose header only": (
+        lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n"),
+        "{data}: no data rows"),
+    "wafer filter matches no series": (
+        lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,cohort,wafer\n"
+                                            "J1,0,7800,annealed,W1\nJ1,10,7810,annealed,W1\n",
+                              "--wafer", "W9"),
+        "no series left after --wafer/--cohort filters"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAILURES))
+def test_invalid_input_exits_2_with_its_message(tmp_path, capsys, case):
+    build, message = INPUT_FAILURES[case]
+    assert main(build(tmp_path)) == 2
+    expected = message.format(data=tmp_path / "data.csv")
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+    assert not (tmp_path / "out").exists()

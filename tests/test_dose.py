@@ -107,6 +107,7 @@ NAN, INF = float("nan"), float("inf")
     lambda: jt.DoseResponseParams(char_exposure_u0=NAN),
     lambda: jt.DoseResponseParams(depth_b=NAN),
     lambda: jt.DoseResponseParams(depth_b=-INF),
+    lambda: jt.DoseResponseParams(depth_b=-0.01),  # a response that falls as it heats
     lambda: jt.BeamGeometry(waist=NAN),
     lambda: jt.BeamGeometry(waist=INF),
     lambda: jt.BeamGeometry(electrode_extent=NAN),

@@ -291,3 +291,17 @@ def test_policy_max_iterations_must_be_an_integer(value):
 
 def test_policy_accepts_numpy_integer_iterations():
     assert jt.TunePolicy(max_iterations=np.int64(3)).max_iterations == 3
+
+
+def test_controller_holds_while_the_commanded_step_is_negligible():
+    # Every commanded step rounds below the hold threshold, so each
+    # iteration only measures and the budget runs out without an anneal.
+    trace = jt.iterative_tune(
+        jt.JunctionState(resistance=7781.0),
+        jt.qubit_frequency(7781.0) - 94e6,
+        policy=jt.TunePolicy(step_fraction=1e-12, measurement_noise_sigma=0.0),
+    )
+    assert len(trace.iterations) == 8
+    assert all(it.recipe is None and it.sampled_shift is None for it in trace.iterations)
+    assert trace.outcome == "exhausted"
+    assert trace.final_resistance == 7781.0
