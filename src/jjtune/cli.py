@@ -134,7 +134,12 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    rows = jio.read_columns_csv(path, ["thickness_nm", "area_um2", "resistance_ohm"])
+    columns = ["thickness_nm", "area_um2", "resistance_ohm"]
+    rows = jio.read_columns_csv(path, columns)
+    for line, row in enumerate(rows, start=2):
+        for column, value in zip(columns[1:], row[1:]):
+            if value <= 0.0:
+                raise SchemaError(f"{path}:{line}: column '{column}' must be positive, got {value}")
     thickness = np.array([row[0] for row in rows])
     resistance_area = np.array([row[1] * row[2] for row in rows])
 

@@ -5,13 +5,10 @@ classic multiply/divide damping schedule, box bounds enforced by clamping
 after accepted steps, and covariance from the final normal matrix. Running
 the same fit twice gives bit-identical results.
 
-Each iteration walks the damping ladder lam, lam*up, ... (below 1e14) until
-a trial lowers the cost. The first rung is solved alone, since most
-iterations accept it; the remaining rungs go to one stacked solve (of up to
-128 rungs, so one at any usual damping_up), which gives the same bits per
-matrix as solving them one by one. A trial that lands exactly on the
-current point (the step vanished under clamping or float resolution) is
-rejected without running the model.
+Each iteration walks the damping ladder lam, lam*up, ... (below 1e14),
+solving one rung at a time, until a trial lowers the cost. A trial that
+lands exactly on the current point (the step vanished under clamping or
+float resolution) is rejected without running the model.
 
 Every nonlinear fit in the package (dose plateau, aging, Lorentzian defect,
 Stark conversion, barrier thickness) goes through ``fit_curve``.
@@ -31,7 +28,6 @@ __all__ = ["ModelSpec", "Dataset", "FitOptions", "FitResult", "fit_curve"]
 
 _EPS_STEP = float(np.sqrt(np.finfo(float).eps))
 _DAMPING_MAX = 1e14     # rungs at or above this are not tried
-_LADDER_CHUNK = 128     # rungs per stacked solve (bounds memory for a slow ladder)
 
 
 @dataclass(frozen=True)
@@ -105,9 +101,12 @@ class FitResult:
     params: np.ndarray
     std_errors: np.ndarray
     residual_norm: float
-    converged: bool
     iterations: int
     termination: str
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in ("step_tolerance", "stalled")
 
 
 def _evaluate(model: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,31 +134,15 @@ def _jacobian(model: ModelSpec, p: np.ndarray, x: np.ndarray, f0: np.ndarray) ->
 def _damped_steps(
     jtj: np.ndarray, grad: np.ndarray, diag: np.ndarray, lam: float, up: float
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (damping, step) for each rung lam, lam*up, ... below _DAMPING_MAX.
-
-    Lazily: the first rung is solved alone, later rungs in stacked solves.
-    When a stacked solve meets a singular matrix its rungs are solved one by
-    one and the singular ones are skipped.
-    """
+    """Yield (damping, step) for each rung lam, lam*up, ... below _DAMPING_MAX,
+    one solve per rung, skipping rungs whose damped matrix is singular."""
     scale = np.diag(diag)
-    rhs = grad[None, :, None]
-    size = 1
     while lam < _DAMPING_MAX:
-        lams = []
-        while lam < _DAMPING_MAX and len(lams) < size:
-            lams.append(lam)
-            lam *= up
-        mats = jtj + np.array(lams)[:, None, None] * scale
         try:
-            yield from zip(lams, np.linalg.solve(mats, rhs)[:, :, 0])
+            yield lam, np.linalg.solve(jtj + lam * scale, grad)
         except np.linalg.LinAlgError:
-            for rung, mat in zip(lams, mats):
-                try:
-                    step = np.linalg.solve(mat, grad)
-                except np.linalg.LinAlgError:
-                    continue
-                yield rung, step
-        size = _LADDER_CHUNK
+            pass
+        lam *= up
 
 
 def _covariance_std(jtj: np.ndarray, s2: float, rcond: float) -> np.ndarray:
@@ -205,10 +188,14 @@ def fit_curve(
         raise DomainError(
             f"expected {len(model.parameter_names)} initial parameters, got {p.size}"
         )
-    if model.bounds is not None:
-        lo = np.array([-np.inf if b[0] is None else b[0] for b in model.bounds])
-        hi = np.array([np.inf if b[1] is None else b[1] for b in model.bounds])
-        p = np.minimum(np.maximum(p, lo), hi)
+    bounds = model.bounds or ((None, None),) * p.size
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+
+    def clamp(pv: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(pv, lo), hi)
+
+    p = clamp(p)
     if n < p.size:
         raise DomainError(f"{n} points cannot constrain {p.size} parameters")
 
@@ -216,6 +203,10 @@ def fit_curve(
         f = _evaluate(model, pv, x)
         r = y - f
         return f, (r if w is None else w * r)
+
+    def jacobian(pv: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        jac = _jacobian(model, pv, x, fv)
+        return jac if w is None else jac * w[:, None]
 
     # f0 is the model at p, kept from the evaluation that produced r.
     f0, r = evaluate(p)
@@ -227,9 +218,7 @@ def fit_curve(
 
     for _ in range(options.max_iterations):
         iterations += 1
-        jac = _jacobian(model, p, x, f0)
-        if w is not None:
-            jac = jac * w[:, None]
+        jac = jacobian(p, f0)
         jtj = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -237,9 +226,7 @@ def fit_curve(
 
         here = p.tobytes()
         for rung, step in _damped_steps(jtj, grad, diag, lam, options.damping_up):
-            trial = p + step
-            if model.bounds is not None:
-                trial = np.minimum(np.maximum(trial, lo), hi)
+            trial = clamp(p + step)
             if trial.tobytes() == here:
                 continue  # same point, same cost: not an improvement
             f_trial, r_trial = evaluate(trial)
@@ -258,9 +245,7 @@ def fit_curve(
             break
 
     if jac is None:  # max_iterations == 0 guard; report at the initial point
-        jac = _jacobian(model, p, x, f0)
-        if w is not None:
-            jac = jac * w[:, None]
+        jac = jacobian(p, f0)
 
     dof = n - p.size
     s2 = cost / dof if dof > 0 else np.inf
@@ -269,7 +254,6 @@ def fit_curve(
         params=p,
         std_errors=std,
         residual_norm=float(np.sqrt(cost)),
-        converged=termination != "max_iterations",
         iterations=iterations,
         termination=termination,
     )

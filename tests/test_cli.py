@@ -738,6 +738,15 @@ INPUT_FAILURES = {
                                             "J1,0,7800,annealed,W1\nJ1,10,7810,annealed,W1\n",
                               "--wafer", "W9"),
         "no series left after --wafer/--cohort filters"),
+    "negative barrier resistance": (
+        lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                              "1.0,0.1,20000\n1.5,0.1,-45000\n2.0,0.1,100000\n"
+                                              "2.5,0.1,220000\n"),
+        "{data}:3: column 'resistance_ohm' must be positive, got -45000.0"),
+    "zero barrier area": (
+        lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                              "1.0,0.1,20000\n1.5,0.1,45000\n2.0,0,100000\n"),
+        "{data}:4: column 'area_um2' must be positive, got 0.0"),
 }
 
 

@@ -127,6 +127,17 @@ def test_unidentifiable_direction_reports_inf():
     assert fit.params[0] + fit.params[1] == pytest.approx(3.0, rel=1e-9)
 
 
+def test_a_model_that_ignores_its_parameter_stalls_at_the_start():
+    # A zero Jacobian: every rung's step is zero, and the curvature carries
+    # no information about the parameter.
+    spec = ModelSpec(lambda p, x: np.ones_like(x), ("c",))
+    x = np.linspace(0.0, 1.0, 5)
+    fit = fit_curve(spec, Dataset(x, 2.0 * x), [0.5])
+    assert fit.params.tolist() == [0.5]
+    assert fit.std_errors.tolist() == [np.inf]
+    assert (fit.termination, fit.iterations) == ("stalled", 1)
+
+
 def test_iteration_budget_respected():
     rng = np.random.default_rng(0)
     x = np.linspace(0.0, 30.0, 40)

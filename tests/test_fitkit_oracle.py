@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fitkit_oracle
 from jjtune.fitkit import (
-    _DAMPING_MAX, _LADDER_CHUNK, Dataset, FitOptions, ModelSpec, _damped_steps, fit_curve,
+    _DAMPING_MAX, Dataset, FitOptions, ModelSpec, _damped_steps, fit_curve,
 )
 
 
@@ -168,12 +168,3 @@ def test_singular_rungs_are_skipped_as_rung_by_rung(lam, up):
         np.linalg.solve(jtj + lam * np.diag(diag), grad)
     assert reference and reference[0][0] > lam
     assert _stacked(jtj, grad, diag, lam, up) == reference
-
-
-def test_a_long_ladder_spans_several_stacks():
-    jtj = np.array([[2.0, 0.5], [0.5, 1.0]])
-    grad = np.array([1.0, -1.0])
-    diag = np.diag(jtj).copy()
-    steps = _stacked(jtj, grad, diag, 1e-15, 1.1)
-    assert len(steps) > 2 * _LADDER_CHUNK
-    assert steps == _rung_by_rung(jtj, grad, diag, 1e-15, 1.1)

@@ -121,6 +121,7 @@ class TestExcitedPopulation:
 class TestStark:
     def test_zero_amplitude_zero_shift(self):
         assert jt.stark_shift(0.0) == 0.0
+        assert jt.amplitude_for_shift(0.0) == 0.0
 
     def test_sign_selects_side(self):
         assert jt.stark_shift(0.05, sign=-1) < 0
@@ -168,6 +169,8 @@ class TestStark:
             jt.amplitude_for_shift(-5e6, sign=1)
         with pytest.raises(DomainError):
             jt.amplitude_for_shift(5e6, sign=-1)
+        with pytest.raises(DomainError, match="sign must be -1 or \\+1"):
+            jt.stark_shift(0.1, sign=0)
 
     def test_negative_amplitude_refused(self):
         with pytest.raises(DomainError):
@@ -317,6 +320,13 @@ class TestSpectroMap:
         )
         assert np.array_equal(jt.time_average(sp), row[0])
 
+    def test_time_average_of_an_empty_map_refused(self):
+        sp = jt.SpectroMap(
+            freq_offsets=np.array([-1e6, 0.0, 1e6]), times=np.empty(0), population=np.empty((0, 3))
+        )
+        with pytest.raises(DomainError, match="empty map"):
+            jt.time_average(sp)
+
     def test_map_shape_consistency_enforced(self):
         with pytest.raises(DomainError):
             jt.SpectroMap(
@@ -414,6 +424,38 @@ class TestCoherence:
         sb = jt.summarize_coherence(before)
         assert not jt.significant_change(sb, jt.summarize_coherence(before * 1.05))
         assert not jt.significant_change(sb, sb)
+
+
+def _survey_map(n_defects, seed):
+    """A seeded multi-defect map on the defect survey's design.
+
+    +-20 MHz offsets at 0.1 MHz, a 2 h scan at 60 s steps and a 40 us wait;
+    g in 70-100 kHz, Gamma in 0.7-1.2 MHz and centres in +-16 MHz, at least
+    6 MHz apart. Returns (offsets, time-averaged profile, sorted centres).
+    """
+    rng = np.random.default_rng([n_defects, seed])
+    spacing, span = 6e6, 32e6
+    free = span - (n_defects - 1) * spacing
+    centres = -16e6 + np.sort(rng.uniform(0.0, free, n_defects)) + spacing * np.arange(n_defects)
+    defects = tuple(
+        jt.TlsDefect(f_offset=float(f), coupling_g=float(rng.uniform(70e3, 100e3)),
+                     gamma_total=float(rng.uniform(0.7e6, 1.2e6)))
+        for f in centres
+    )
+    offsets = np.arange(-200, 201) * 0.1e6
+    sp = jt.simulate_map(jt.QubitNoiseModel(defects=defects), offsets, 2.0, 60.0, WAIT, rng)
+    return offsets, jt.time_average(sp), centres
+
+
+@pytest.mark.parametrize("n_defects", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_survey_defect_recovered_when_the_count_is_known(n_defects, seed):
+    offsets, profile, centres = _survey_map(n_defects, seed)
+    assert np.all(np.diff(centres) >= 6e6)
+    ex = jt.extract_tls(offsets, profile, WAIT, max_defects=n_defects)
+    found = np.array([float(d.params[0]) for d in ex.defects])
+    for f in centres:
+        assert np.min(np.abs(found - f)) <= 0.1e6
 
 
 @pytest.mark.parametrize("max_defects", [0, -3])

@@ -70,6 +70,10 @@ class TestRecipeForShift:
     def test_zero_shift_no_shots(self):
         assert jt.recipe_for_shift(0.0) == ()
 
+    def test_negative_shift_refused(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            jt.recipe_for_shift(-0.01)
+
     def test_single_shot_exact(self):
         shots = jt.recipe_for_shift(0.015)
         assert len(shots) == 1

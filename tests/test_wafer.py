@@ -58,6 +58,10 @@ class TestAffine:
         with pytest.raises(DomainError):
             jt.AffineTransform(linear=np.zeros((2, 2)), offset=np.zeros(2))
 
+    def test_non_planar_transform_rejected(self):
+        with pytest.raises(DomainError, match="2x2"):
+            jt.AffineTransform(linear=np.eye(3), offset=np.zeros(2))
+
     def test_noisy_registration_residual_band(self):
         # 0.5 um stage noise on 10 fiducials leaves a sub-micron residual;
         # mean per-coordinate RMS over many seeds sits near 0.4 um
@@ -170,6 +174,13 @@ class TestLayout:
         xys = {f.design_xy for f in fids}
         for corner in ((0.0, 0.0), (350.0, 0.0), (0.0, 350.0), (350.0, 350.0)):
             assert corner in xys
+
+    def test_empty_grid_and_empty_wafer_rejected(self):
+        with pytest.raises(DomainError, match="at least one site"):
+            jt.synthesize_wafer("W1", 0, 4, 50.0, 7800.0, 0.01, seed=1)
+        empty = jt.WaferLayout(wafer_id="W", rows=2, cols=2, pitch=50.0, junctions=())
+        with pytest.raises(DomainError, match="no junctions"):
+            jt.default_fiducials(empty)
 
 
 class TestBatch:
