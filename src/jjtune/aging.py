@@ -134,10 +134,10 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     return fit_curve(_AGING_SPEC, Dataset(inputs=t, observations=y), p0)
 
 
-def fit_aging(series: AgingSeries) -> FitResult:
-    """Fit the aging curve to one junction's resistance series."""
-    days = [d for d, _ in series.samples]
-    shifts = [r / series.r0_ohm - 1.0 for _, r in series.samples]
+def fit_aging(*series: AgingSeries) -> FitResult:
+    """Fit one aging curve to the pooled samples of one or more series."""
+    days = [d for s in series for d, _ in s.samples]
+    shifts = [r / s.r0_ohm - 1.0 for s in series for _, r in s.samples]
     return fit_aging_samples(days, shifts)
 
 

@@ -56,6 +56,11 @@ time_average = _on_call("tls", "time_average")
 extract_tls = _on_call("tls", "extract_tls")
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags set on the command line; the rest keep their library defaults."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _require_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise SchemaError("--seed is required for stochastic commands")
@@ -96,15 +101,14 @@ def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
         temperature = heating.slope * x + heating.ambient
         return p[0] - p[1] * np.exp(-temperature / p[2])
 
-    names = ("plateau_m", "depth_b", "char_temperature_t0_c")
     spec = ModelSpec(
         evaluator=model,
-        parameter_names=names,
+        parameter_names=("plateau_m", "depth_b", "char_temperature_t0_c"),
         bounds=((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)),
     )
     top = float(shifts.max())
     fit = fit_curve(spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
-    return fit, names
+    return fit, spec.parameter_names
 
 
 def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
@@ -121,25 +125,19 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
     def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
         return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
 
-    names = ("scale", "decay_d0_um", "transfer_offset_b")
     spec = ModelSpec(
         evaluator=model,
-        parameter_names=names,
+        parameter_names=("scale", "decay_d0_um", "transfer_offset_b"),
         bounds=((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)),
     )
     fit = fit_curve(spec, Dataset(displacement, response), [float(response.max()) / 0.37, 10.0, 0.002])
-    return fit, names
+    return fit, spec.parameter_names
 
 
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    columns = ["thickness_nm", "area_um2", "resistance_ohm"]
-    rows = jio.read_columns_csv(path, columns)
-    for line, row in enumerate(rows, start=2):
-        for column, value in zip(columns[1:], row[1:]):
-            if value <= 0.0:
-                raise SchemaError(f"{path}:{line}: column '{column}' must be positive, got {value}")
+    rows = jio.read_columns_csv(path, ["thickness_nm", "area_um2", "resistance_ohm"])
     thickness = np.array([row[0] for row in rows])
     resistance_area = np.array([row[1] * row[2] for row in rows])
 
@@ -148,14 +146,15 @@ def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
     # Log-linear seed keeps the start independent of operator choices.
     slope, intercept = np.polyfit(thickness, np.log(resistance_area), 1)
-    names = ("prefactor_ohm_um2", "tau_barrier_nm")
     spec = ModelSpec(
-        evaluator=model, parameter_names=names, bounds=((1e-12, np.inf), (1e-3, 100.0))
+        evaluator=model,
+        parameter_names=("prefactor_ohm_um2", "tau_barrier_nm"),
+        bounds=((1e-12, np.inf), (1e-3, 100.0)),
     )
     fit = fit_curve(
         spec, Dataset(thickness, resistance_area), [float(np.exp(intercept)), 1.0 / float(slope)]
     )
-    return fit, names
+    return fit, spec.parameter_names
 
 
 def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
@@ -174,7 +173,7 @@ def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]]:
-    from .aging import fit_aging_samples
+    from .aging import fit_aging
 
     series = jio.read_aging_csv(args.data)
     if args.wafer:
@@ -189,12 +188,7 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
         raise SchemaError(
             f"data mixes cohorts ({listing}); select one with --wafer/--cohort"
         )
-    days: list[float] = []
-    shifts: list[float] = []
-    for s in series:
-        days.extend(day for day, _ in s.samples)
-        shifts.extend(r / s.r0_ohm - 1.0 for _, r in s.samples)
-    return fit_aging_samples(days, shifts), ("final_shift_a", "depth_b", "tau_days")
+    return fit_aging(*series), ("final_shift_a", "depth_b", "tau_days")
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -240,10 +234,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     freqs = [qubit_frequency(j.resistance) for j in junctions]
     if targets is None:
         targets = allocate_targets(freqs, spacing)
+    budget = _given(args, "exposure", "max_shots")
     entries = []
     for junction, f_now, f_target in zip(junctions, freqs, targets):
         shift = required_shift(f_now, f_target)
-        shots = recipe_for_shift(shift, exposure=args.exposure_s, max_shots=args.max_shots)
+        shots = recipe_for_shift(shift, **budget)
         entries.append(
             {
                 "id": junction.id,
@@ -271,10 +266,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     plan = jio.load_json(args.plan)
     seed = _require_seed(args)
     policy = TunePolicy(
-        step_fraction=args.step_fraction,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        measurement_noise_sigma=args.measurement_noise_sigma,
+        **_given(args, "step_fraction", "tolerance", "max_iterations", "measurement_noise_sigma")
     )
     model = default_dose_model()
     if args.shot_noise_sigma is not None:
@@ -332,7 +324,7 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
         step=args.step_s,
         wait=wait,
         rng=child_rng(seed, "tls-scan"),
-        dropout_probability=args.dropout_probability,
+        **_given(args, "dropout_probability"),
     )
     doc = _extraction_doc(spectro, args)
     directory = args.output or "."
@@ -346,7 +338,7 @@ def _extraction_doc(spectro, args: argparse.Namespace) -> dict:
     """The defects document of the map's time-averaged profile, at ``--wait-us``."""
     wait = args.wait_us * 1e-6
     extraction = extract_tls(
-        spectro.freq_offsets, time_average(spectro), wait, max_defects=args.max_defects
+        spectro.freq_offsets, time_average(spectro), wait, **_given(args, "max_defects")
     )
     return jio.extraction_to_doc(extraction, wait)
 
@@ -384,23 +376,23 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--wafer", default=None, help="aging: filter by wafer label")
     fit.add_argument("--cohort", default=None, choices=["annealed", "unannealed"])
     fit.add_argument("--wait-us", type=float, default=40.0, help="tls: measurement wait")
-    fit.add_argument("--max-defects", type=int, default=1, help="tls: defects to extract")
+    fit.add_argument("--max-defects", type=int, default=argparse.SUPPRESS, help="tls: defects to extract")
     fit.set_defaults(handler=_cmd_fit)
 
     plan = commands.add_parser("plan", help="compute shifts and shot plans for targets")
     plan.add_argument("wafer", help="wafer layout JSON")
     plan.add_argument("targets", help="targets JSON (targets_ghz or min_spacing_mhz)")
-    plan.add_argument("--exposure-s", type=float, default=60.0)
-    plan.add_argument("--max-shots", type=int, default=16)
+    plan.add_argument("--exposure-s", dest="exposure", type=float, default=argparse.SUPPRESS)
+    plan.add_argument("--max-shots", type=int, default=argparse.SUPPRESS)
     plan.set_defaults(handler=_cmd_plan)
 
     tune = commands.add_parser("tune", help="closed-loop tune junctions against a plan")
     tune.add_argument("wafer", help="wafer layout JSON")
     tune.add_argument("plan", help="plan JSON from the plan command")
-    tune.add_argument("--step-fraction", type=float, default=0.7)
-    tune.add_argument("--tolerance", type=float, default=0.0025)
-    tune.add_argument("--max-iterations", type=int, default=8)
-    tune.add_argument("--measurement-noise-sigma", type=float, default=0.002)
+    tune.add_argument("--step-fraction", type=float, default=argparse.SUPPRESS)
+    tune.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    tune.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
+    tune.add_argument("--measurement-noise-sigma", type=float, default=argparse.SUPPRESS)
     tune.add_argument("--shot-noise-sigma", type=float, default=None,
                       help="override the dose model's relative shot noise")
     tune.set_defaults(handler=_cmd_tune)
@@ -413,8 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--duration-h", type=float, default=2.0)
     scan.add_argument("--step-s", type=float, default=60.0)
     scan.add_argument("--wait-us", type=float, default=40.0)
-    scan.add_argument("--max-defects", type=int, default=1)
-    scan.add_argument("--dropout-probability", type=float, default=0.0)
+    scan.add_argument("--max-defects", type=int, default=argparse.SUPPRESS)
+    scan.add_argument("--dropout-probability", type=float, default=argparse.SUPPRESS)
     scan.set_defaults(handler=_cmd_tls_scan)
 
     return parser

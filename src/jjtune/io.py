@@ -371,14 +371,18 @@ def batch_report_csv(report: BatchReport) -> str:
 
 # ------------------------------------------------------------- fit inputs
 
-def _read_csv_rows(path: str, required: Sequence[str]) -> list[dict]:
+_POSITIVE_COLUMNS = ("area_um2", "resistance_ohm")  # fit-input columns refused unless positive
+
+
+def _read_csv_rows(path: str, required: Sequence[str]) -> list[tuple[int, dict]]:
+    """(line, row) pairs; line is the row's line in the file, blank lines counted."""
     with _reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         for column in required:
             if column not in fields:
                 raise SchemaError(f"{path}: missing required column '{column}'")
-        return list(reader)
+        return [(reader.line_num, row) for row in reader]
 
 
 def _cell_float(row: dict, column: str, path: str, line: int) -> float:
@@ -405,7 +409,7 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
     rows = _read_csv_rows(path, ["junction_id", "day", "resistance_ohm", "cohort", "wafer"])
     groups: dict[tuple[str, str, str], list] = {}
     r0s: dict[tuple[str, str, str], float] = {}
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         cohort = (row.get("cohort") or "").strip()
         if cohort not in ("annealed", "unannealed"):
             raise SchemaError(
@@ -437,13 +441,15 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
 
 def read_columns_csv(path: str, columns: Sequence[str]) -> list[tuple[float, ...]]:
     """Read numeric columns from a CSV, in order, with line diagnostics."""
-    rows = _read_csv_rows(path, columns)
-    out = []
-    for line, row in enumerate(rows, start=2):
-        out.append(tuple(_cell_float(row, column, path, line) for column in columns))
-    if not out:
+    rows = [(line, tuple(_cell_float(row, column, path, line) for column in columns))
+            for line, row in _read_csv_rows(path, columns)]
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return out
+    for line, values in rows:  # after every cell parsed, so a malformed cell is named first
+        for column, value in zip(columns, values):
+            if column in _POSITIVE_COLUMNS and value <= 0.0:
+                raise SchemaError(f"{path}:{line}: column '{column}' must be positive, got {value}")
+    return [values for _, values in rows]
 
 
 def fit_report_doc(

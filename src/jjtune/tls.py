@@ -182,7 +182,10 @@ class TlsExtraction:
     """
 
     defects: tuple[FitResult, ...]
-    persistent: bool
+
+    @property
+    def persistent(self) -> bool:
+        return bool(self.defects)
 
     @property
     def best(self) -> FitResult:
@@ -482,7 +485,7 @@ def extract_tls(
         found = survivors
 
     found.sort(key=lambda f: -(2.0 * f.params[1] ** 2 / f.params[2]))
-    return TlsExtraction(defects=tuple(found), persistent=bool(found))
+    return TlsExtraction(defects=tuple(found))
 
 
 def summarize_coherence(samples: Sequence[float]) -> CoherenceSummary:

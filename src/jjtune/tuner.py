@@ -183,27 +183,29 @@ def recipe_for_shift(
         power = power_for_shift(target_shift, model, exposure)
         return (LasingRecipe(power=power, exposure=exposure),)
 
-    per_shot = mean_shift(
-        LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure), model
-    )
-    n_full = int(math.log1p(target_shift) // math.log1p(per_shot))
-    remainder = (1.0 + target_shift) / (1.0 + per_shot) ** n_full - 1.0
-    shots = [LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)] * n_full
-    if remainder > 1e-12:
-        if remainder > ceiling:  # composition left more than one shot can trim
-            shots.append(LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure))
-            remainder = (1.0 + target_shift) / (1.0 + per_shot) ** (n_full + 1) - 1.0
-        if remainder > 1e-12:
-            shots.append(
-                LasingRecipe(power=power_for_shift(remainder, model, exposure), exposure=exposure)
-            )
-    if len(shots) > max_shots:
+    full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
+    per_shot = mean_shift(full, model)
+    # Count the shots before building any: a tiny exposure needs billions,
+    # and one that shifts nothing can never reach the target.
+    n_shots = math.inf
+    if per_shot > 0.0:
+        n_full = int(math.log1p(target_shift) // math.log1p(per_shot))
+        remainder = (1.0 + target_shift) / (1.0 + per_shot) ** n_full - 1.0
+        if remainder > max(ceiling, 1e-12):  # composition left more than one shot can trim
+            n_full += 1
+            remainder = (1.0 + target_shift) / (1.0 + per_shot) ** n_full - 1.0
+        n_shots = n_full + (remainder > 1e-12)
+    if n_shots > max_shots:
         achievable = (1.0 + per_shot) ** max_shots - 1.0
         raise InfeasibleError(
-            f"shift {target_shift:.6g} needs {len(shots)} shots (> {max_shots}); "
+            f"shift {target_shift:.6g} needs {n_shots} shots (> {max_shots}); "
             f"achievable within budget: {achievable:.6g}"
         )
-    return tuple(shots)
+    shots = (full,) * n_full
+    if remainder > 1e-12:
+        trim = power_for_shift(remainder, model, exposure)
+        shots += (LasingRecipe(power=trim, exposure=exposure),)
+    return shots
 
 
 def iterative_tune(
@@ -303,7 +305,7 @@ def allocate_targets(frequencies: Sequence[float], min_spacing: float) -> list[f
     targets = [0.0] * len(freqs)
     cap = math.inf
     chain: list[float] = []
-    for rank, index in enumerate(order):
+    for index in order:
         t = min(freqs[index], cap)
         if t < freqs[index]:
             chain.append(freqs[index])

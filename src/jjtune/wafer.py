@@ -139,8 +139,11 @@ class BatchRow(NamedTuple):
 class BatchReport:
     wafer_id: str
     entries: tuple[BatchRow, ...]          # sorted by junction id
-    estimated_wall_time_s: float
     master_seed: int
+
+    @property
+    def estimated_wall_time_s(self) -> float:
+        return SECONDS_PER_JUNCTION * len(self.entries)
 
 
 def estimate_affine(
@@ -239,7 +242,6 @@ def run_batch(
     return BatchReport(
         wafer_id=wafer.wafer_id,
         entries=tuple(rows),
-        estimated_wall_time_s=SECONDS_PER_JUNCTION * len(junctions),
         master_seed=master_seed,
     )
 

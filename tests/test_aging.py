@@ -132,3 +132,23 @@ def test_offset_preservation_edge_cases():
     assert same == {"initial_gap": 0.0, "final_gap": 0.0, "max_drift": 0.0}
     with pytest.raises(DomainError):
         jt.offset_preservation(W1A, W1U, 0.0)
+
+
+def test_fit_aging_pools_series_against_their_own_reference():
+    params = jt.REFERENCE_COHORTS["wafer1_annealed"]
+
+    def series(junction_id, r0, days):
+        samples = tuple((d, r0 * (1.0 + jt.aging_shift(d, params))) for d in days)
+        return jt.AgingSeries(junction_id=junction_id, samples=samples, r0_ohm=r0)
+
+    a = series("a", 7781.0, [0.0, 4.0, 8.0, 12.0, 16.0])
+    b = series("b", 8200.0, [2.0, 6.0, 10.0, 20.0, 30.0])
+    fit = jt.fit_aging(a, b)
+    pooled = jt.fit_aging_samples(
+        [d for s in (a, b) for d, _ in s.samples],
+        [r / s.r0_ohm - 1.0 for s in (a, b) for _, r in s.samples],
+    )
+    assert np.array_equal(fit.params, pooled.params)
+    assert fit.params == pytest.approx(
+        [params.final_shift_a, params.depth_b, params.tau_days], rel=1e-6
+    )

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files in, files out, stable exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -383,6 +384,25 @@ class TestPlan:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exposure, achievable", [("1e-17", "0"), ("1e-9", "1.86365e-10")])
+    def test_tiny_exposure_is_infeasible(self, tmp_path, capsys, exposure, achievable):
+        # The shot count is checked before any shot is built: at 1e-9 s the
+        # plan would need 1.7e9 default-power shots, and a zero per-shot
+        # shift used to divide by zero.
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        jio.write_json(str(tpath), {"targets_ghz": {
+            "W-J0": (jt.qubit_frequency(7781.0) - 60e6) / 1e9,
+            "W-J1": jt.qubit_frequency(8200.0) / 1e9,
+        }})
+        out = tmp_path / "p.json"
+        argv = ["--output", str(out), "plan", wpath, str(tpath), "--exposure-s", exposure]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: shift 0.0198876 needs ")
+        assert err.endswith(f"shots (> 16); achievable within budget: {achievable}\n")
+        assert not out.exists()
+
     def test_non_finite_spacing_is_input_error(self, tmp_path, capsys):
         wpath, _ = self._spread_wafer(tmp_path)
         tpath = tmp_path / "targets.json"
@@ -747,6 +767,19 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
                                               "1.0,0.1,20000\n1.5,0.1,45000\n2.0,0,100000\n"),
         "{data}:4: column 'area_um2' must be positive, got 0.0"),
+    # A blank line counts: the message names the cell's line in the file.
+    "empty dose cell after a blank line": (
+        lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n10,0.01\n\n20,\n"),
+        "{data}:4: empty value in column 'shift_frac'"),
+    "negative barrier resistance after a blank line": (
+        lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                              "1.0,0.1,20000\n\n1.5,0.1,-45000\n"
+                                              "2.0,0.1,100000\n2.5,0.1,220000\n"),
+        "{data}:4: column 'resistance_ohm' must be positive, got -45000.0"),
+    "aging cohort after a blank line": (
+        lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,cohort,wafer\n"
+                                            "J1,0,7800,annealed,W1\n\nJ1,10,7810,aged,W1\n"),
+        "{data}:4: cohort must be 'annealed' or 'unannealed', got 'aged'"),
 }
 
 
@@ -757,3 +790,80 @@ def test_invalid_input_exits_2_with_its_message(tmp_path, capsys, case):
     expected = message.format(data=tmp_path / "data.csv")
     assert capsys.readouterr().err == f"input error: {expected}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_that_does_not_converge_exits_4_with_its_report(tmp_path, capsys):
+    # Scattered shifts that no plateau curve follows: the fit runs out of
+    # iterations with the decay constant on its bound.
+    argv = _fit_argv(tmp_path, "dose", "power_mw,shift_frac\n1,0.01\n2,-0.04\n13,0.006\n"
+                                       "27,-0.015\n30,-0.005\n36,0.0\n40,0.004\n45,0.03\n")
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("(converged=False)\n")
+    doc = report_doc(tmp_path / "out")
+    assert doc["model"] == "dose"
+    assert doc["converged"] is False
+    assert doc["iterations"] == 200
+    names = ["char_temperature_t0_c", "depth_b", "plateau_m"]
+    assert sorted(doc["params"]) == sorted(doc["std_errors"]) == names
+    assert all(math.isfinite(v) for v in doc["params"].values())
+    assert all(v == math.inf for v in doc["std_errors"].values())
+    assert math.isfinite(doc["residual_norm"])
+
+
+def _plan_argv(tmp_path):
+    wafer = jt.synthesize_wafer("WD", 2, 3, 50.0, 7781.0, 0.01, seed=2)
+    tpath = tmp_path / "targets.json"
+    jio.write_json(str(tpath), {"min_spacing_mhz": 30.0})
+    return ["plan", write_wafer(tmp_path, wafer), str(tpath)]
+
+
+def _tune_argv(tmp_path):
+    plan = tmp_path / "plan.json"
+    assert main(["--output", str(plan), *_plan_argv(tmp_path)]) == 0
+    return ["--seed", "5", "tune", str(tmp_path / "wafer.json"), str(plan)]
+
+
+def _tls_model(tmp_path):
+    path = tmp_path / "model.json"
+    jio.write_json(str(path), {"gamma_1q_per_s": 21505.376344086024, "readout_noise_sigma": 0.02,
+                               "defects": [{"f_offset_mhz": 3.0, "coupling_g_khz": 76.0,
+                                            "gamma_total_mhz": 1.0}]})
+    return str(path)
+
+
+def _tls_scan_argv(tmp_path):
+    return ["--seed", "7", "tls-scan", _tls_model(tmp_path), "--duration-h", "0.2",
+            "--f-step-mhz", "0.5"]
+
+
+def _fit_tls_argv(tmp_path):
+    assert main(["--output", str(tmp_path / "scan"), *_tls_scan_argv(tmp_path)]) == 0
+    return ["fit", "tls", str(tmp_path / "scan" / "map.csv")]
+
+
+# The library defaults of each command's flags, spelled out on the command line.
+SPELLED_DEFAULTS = {
+    "plan": (_plan_argv, ["--exposure-s", "60", "--max-shots", "16"]),
+    "tune": (_tune_argv, ["--step-fraction", "0.7", "--tolerance", "0.0025",
+                          "--max-iterations", "8", "--measurement-noise-sigma", "0.002"]),
+    "tls-scan": (_tls_scan_argv, ["--max-defects", "1", "--dropout-probability", "0"]),
+    "fit tls": (_fit_tls_argv, ["--max-defects", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPELLED_DEFAULTS))
+def test_flags_left_out_take_the_library_defaults(tmp_path, capsys, command):
+    build, flags = SPELLED_DEFAULTS[command]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    runs = []
+    for name, extra in (("bare", []), ("spelled", flags)):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["--output", str(out / "result"), *argv, *extra]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((files, capsys.readouterr().out))
+    assert runs[0][0]
+    assert runs[0] == runs[1]

@@ -356,6 +356,32 @@ class TestColumnsCsv:
         with pytest.raises(SchemaError, match=r":3: column 'power_mw' is not a finite number"):
             jio.read_columns_csv(str(path), ["power_mw"])
 
+    def test_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("power_mw,shift_frac\n10,0.01\n\n20,\n")
+        with pytest.raises(SchemaError, match=r"d.csv:4: empty value in column 'shift_frac'"):
+            jio.read_columns_csv(str(path), ["power_mw", "shift_frac"])
+
+    @pytest.mark.parametrize("column", ["area_um2", "resistance_ohm"])
+    def test_size_column_must_be_positive(self, tmp_path, column):
+        path = tmp_path / "d.csv"
+        path.write_text(f"thickness_nm,{column}\n1.0,0.1\n\n-1.0,-2.5\n")
+        with pytest.raises(SchemaError, match=rf"d.csv:4: column '{column}' must be positive, "
+                                              r"got -2.5$"):
+            jio.read_columns_csv(str(path), ["thickness_nm", column])
+
+    def test_other_columns_may_be_zero_or_negative(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("thickness_nm,shift_frac\n0,-0.01\n-1,0\n")
+        rows = jio.read_columns_csv(str(path), ["thickness_nm", "shift_frac"])
+        assert rows == [(0.0, -0.01), (-1.0, 0.0)]
+
+    def test_every_cell_parses_before_positivity_is_checked(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("area_um2\n-1\nbroken\n")
+        with pytest.raises(SchemaError, match=r"d.csv:3: column 'area_um2' is not a number"):
+            jio.read_columns_csv(str(path), ["area_um2"])
+
 
 class TestMapCsv:
     def test_round_trip(self, tmp_path):

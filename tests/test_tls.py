@@ -390,6 +390,11 @@ class TestExtraction:
         with pytest.raises(DomainError, match="finite"):
             jt.extract_tls(OFFSETS, np.full(OFFSETS.size, 0.5), wait)
 
+    def test_persistent_is_read_from_the_defects(self):
+        fit = jt.FitResult(np.zeros(4), np.zeros(4), 0.0, 1, "stalled")
+        assert jt.TlsExtraction(defects=(fit,)).persistent is True
+        assert jt.TlsExtraction(defects=()).persistent is False
+
 
 class TestCoherence:
     def test_summary_of_small_set(self):

@@ -103,6 +103,11 @@ class TestRecipeForShift:
         with pytest.raises(DomainError, match=message):
             jt.recipe_for_shift(target, **kwargs)
 
+    def test_zero_per_shot_shift_is_infeasible(self):
+        # An exposure this short shifts nothing, so no number of shots helps.
+        with pytest.raises(InfeasibleError, match=r"achievable within budget: 0$"):
+            jt.recipe_for_shift(0.05, exposure=1e-17)
+
     @given(st.floats(min_value=1e-5, max_value=0.25))
     def test_composition_always_lands_on_target(self, target):
         shots = jt.recipe_for_shift(target)

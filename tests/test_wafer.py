@@ -200,6 +200,16 @@ class TestBatch:
         report = jt.run_batch(w, jt.DEFAULT_RECIPE, master_seed=5)
         assert report.estimated_wall_time_s == jt.SECONDS_PER_JUNCTION * 12
 
+    def test_wall_time_estimate_is_read_from_the_entries(self):
+        assert [f.name for f in dataclasses.fields(jt.BatchReport)] == [
+            "wafer_id", "entries", "master_seed",
+        ]
+        w = jt.synthesize_wafer("WZ", 2, 2, 50.0, 7781.0, 0.01, seed=2)
+        report = jt.run_batch(w, jt.DEFAULT_RECIPE, master_seed=5)
+        assert dataclasses.replace(report, entries=report.entries[:1]).estimated_wall_time_s == (
+            jt.SECONDS_PER_JUNCTION
+        )
+
     def test_sloppy_stage_excludes_but_keeps_resistance(self):
         w = jt.synthesize_wafer("WX", 8, 8, 50.0, 7800.0, 0.01, seed=4)
         harsh = jt.StageNoise(sigma_center=1.0, sigma_focus=0.12)
