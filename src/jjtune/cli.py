@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import io as jio
-from .errors import DomainError, FitError, InfeasibleError, SchemaError
+from .errors import DomainError, FitError, FitEvaluationError, InfeasibleError, SchemaError
 
 if TYPE_CHECKING:
     from .fitkit import FitResult
@@ -89,6 +89,17 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------- fit
 
+def _fit_or_partial(fitter, *args) -> FitResult:
+    """``fitter(*args)``; where the model goes non-finite, the fit at its last
+    accepted point, which ``_cmd_fit`` reports as not converged (exit 4)."""
+    try:
+        return fitter(*args)
+    except FitEvaluationError as exc:
+        if exc.fit is None:
+            raise SchemaError("the model is not finite at the starting point for this data")
+        return exc.fit
+
+
 def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
@@ -107,7 +118,7 @@ def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
         bounds=((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)),
     )
     top = float(shifts.max())
-    fit = fit_curve(spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
+    fit = _fit_or_partial(fit_curve, spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
     return fit, spec.parameter_names
 
 
@@ -130,7 +141,9 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
         parameter_names=("scale", "decay_d0_um", "transfer_offset_b"),
         bounds=((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)),
     )
-    fit = fit_curve(spec, Dataset(displacement, response), [float(response.max()) / 0.37, 10.0, 0.002])
+    fit = _fit_or_partial(
+        fit_curve, spec, Dataset(displacement, response), [float(response.max()) / 0.37, 10.0, 0.002]
+    )
     return fit, spec.parameter_names
 
 
@@ -151,8 +164,11 @@ def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
         parameter_names=("prefactor_ohm_um2", "tau_barrier_nm"),
         bounds=((1e-12, np.inf), (1e-3, 100.0)),
     )
-    fit = fit_curve(
-        spec, Dataset(thickness, resistance_area), [float(np.exp(intercept)), 1.0 / float(slope)]
+    # Resistance that does not grow with thickness has no positive decay
+    # length to seed; start from the flattest the bounds allow.
+    tau = 1.0 / float(slope) if slope > 0 else spec.bounds[1][1]
+    fit = _fit_or_partial(
+        fit_curve, spec, Dataset(thickness, resistance_area), [float(np.exp(intercept)), tau]
     )
     return fit, spec.parameter_names
 
@@ -162,7 +178,7 @@ def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
     rows = jio.read_columns_csv(path, ["amplitude", "shift_mhz"])
     points = [(row[0], row[1] * 1e6) for row in rows]
-    fit = fit_stark(points)
+    fit = _fit_or_partial(fit_stark, points)
     scaled = replace(
         fit,
         params=fit.params / 1e6,
@@ -188,7 +204,7 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
         raise SchemaError(
             f"data mixes cohorts ({listing}); select one with --wafer/--cohort"
         )
-    return fit_aging(*series), ("final_shift_a", "depth_b", "tau_days")
+    return _fit_or_partial(fit_aging, *series), ("final_shift_a", "depth_b", "tau_days")
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -20,7 +20,15 @@ class FitError(RuntimeError):
 
 
 class FitEvaluationError(FitError):
-    """The model evaluator returned non-finite values during a fit."""
+    """The model evaluator returned non-finite values during a fit.
+
+    ``fit`` is the fit at the last accepted point, with termination
+    "non_finite", or None when the model is not finite at the starting point.
+    """
+
+    def __init__(self, message: str, fit=None) -> None:
+        super().__init__(message)
+        self.fit = fit
 
 
 class SchemaError(ValueError):

@@ -95,7 +95,10 @@ class FitResult:
 
     termination is "step_tolerance" (an accepted step moved every parameter
     by less than the tolerance), "stalled" (no rung of the damping ladder
-    lowered the cost; reported as converged) or "max_iterations".
+    lowered the cost; reported as converged), "max_iterations" or
+    "non_finite" (the model was not finite at a trial point or a Jacobian
+    step; the fit stops at the last accepted point and travels on the
+    ``FitEvaluationError`` that ``fit_curve`` raises).
     """
 
     params: np.ndarray
@@ -178,7 +181,17 @@ def fit_curve(
     and reports convergence when an accepted step moves every parameter by
     less than ``options.tolerance`` in relative terms. The returned residual
     norm is never worse than at the initial point.
+
+    A non-finite model value raises ``FitEvaluationError``; its ``fit`` is
+    the fit at the last accepted point (termination "non_finite"), or None
+    at the starting point. Numpy's floating-point warnings are silenced for
+    the whole fit, since the fit checks every model value itself.
     """
+    with np.errstate(all="ignore"):
+        return _fit(model, data, p0, options)
+
+
+def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float], options: FitOptions) -> FitResult:
     x = np.asarray(data.inputs, dtype=float)
     y = np.asarray(data.observations, dtype=float)
     w = None if data.weights is None else np.asarray(data.weights, dtype=float)
@@ -216,44 +229,53 @@ def fit_curve(
     iterations = 0
     jac = None
 
-    for _ in range(options.max_iterations):
-        iterations += 1
-        jac = jacobian(p, f0)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0.0] = 1.0
+    error = None
+    try:
+        for _ in range(options.max_iterations):
+            iterations += 1
+            jac = jacobian(p, f0)
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            diag = np.diag(jtj).copy()
+            diag[diag <= 0.0] = 1.0
 
-        here = p.tobytes()
-        for rung, step in _damped_steps(jtj, grad, diag, lam, options.damping_up):
-            trial = clamp(p + step)
-            if trial.tobytes() == here:
-                continue  # same point, same cost: not an improvement
-            f_trial, r_trial = evaluate(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                rel = float(np.max(np.abs(trial - p) / (np.abs(p) + 1e-300)))
-                p, f0, r, cost = trial, f_trial, r_trial, cost_trial
-                lam = max(rung / options.damping_down, 1e-15)
+            here = p.tobytes()
+            for rung, step in _damped_steps(jtj, grad, diag, lam, options.damping_up):
+                trial = clamp(p + step)
+                if trial.tobytes() == here:
+                    continue  # same point, same cost: not an improvement
+                f_trial, r_trial = evaluate(trial)
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial < cost:
+                    rel = float(np.max(np.abs(trial - p) / (np.abs(p) + 1e-300)))
+                    p, f0, r, cost = trial, f_trial, r_trial, cost_trial
+                    lam = max(rung / options.damping_down, 1e-15)
+                    break
+            else:
+                # Damping exhausted: stationary within numerical resolution.
+                termination = "stalled"
                 break
-        else:
-            # Damping exhausted: stationary within numerical resolution.
-            termination = "stalled"
-            break
-        if rel < options.tolerance:
-            termination = "step_tolerance"
-            break
+            if rel < options.tolerance:
+                termination = "step_tolerance"
+                break
 
-    if jac is None:  # max_iterations == 0 guard; report at the initial point
-        jac = jacobian(p, f0)
+        if jac is None:  # max_iterations == 0 guard; report at the initial point
+            jac = jacobian(p, f0)
+    except FitEvaluationError as exc:  # the fit so far travels on the error
+        error, termination = exc, "non_finite"
 
     dof = n - p.size
     s2 = cost / dof if dof > 0 else np.inf
-    std = _covariance_std(jac.T @ jac, s2, options.rcond)
-    return FitResult(
+    std = (np.full(p.size, np.inf) if jac is None  # the Jacobian at the start was not finite
+           else _covariance_std(jac.T @ jac, s2, options.rcond))
+    fit = FitResult(
         params=p,
         std_errors=std,
         residual_norm=float(np.sqrt(cost)),
         iterations=iterations,
         termination=termination,
     )
+    if error is not None:
+        error.fit = fit
+        raise error
+    return fit

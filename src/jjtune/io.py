@@ -110,25 +110,115 @@ def _wrap(brackets: str, inner: str, depth: int) -> str:
     return f"{brackets[0]}\n{_INDENT * (depth + 1)}{inner}\n{_INDENT * depth}{brackets[1]}"
 
 
+def _dict_list_ends(depth: int) -> tuple[str, str]:
+    """What ``indent=2`` writes before the first and after the last item of a
+    list of non-empty dicts at ``depth``."""
+    outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
+    return f"[\n{outer}{{\n{inner}", f"\n{outer}}}\n{_INDENT * depth}]"
+
+
+def _dict_gaps(depth: int) -> tuple[str, str]:
+    """The boundary of two adjacent non-empty dicts in a list at ``depth``:
+    as a C encoder at ``depth + 2`` writes it, and as ``indent=2`` lays it out."""
+    outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
+    return "},\n" + inner + "{", f"\n{outer}}},\n{outer}{{\n{inner}"
+
+
+def _record_layout(records: Sequence[dict]) -> tuple[list[str], list[int]] | None:
+    """``(keys, columns)`` of a list of non-empty dicts that is a record list,
+    or None.
+
+    A record list holds non-empty dicts that share one set of string keys and
+    whose nested values are all lists of non-empty flat dicts: ``plan.json``'s
+    junctions with their shots, ``traces.json``'s traces with their
+    iterations. ``keys`` are the shared keys, sorted; ``columns`` are the
+    positions in ``keys`` of those that hold a nested value in some record.
+    """
+    first = records[0].keys()
+    if not all(type(key) is str for key in first) or not all(first == r.keys() for r in records):
+        return None
+    keys = sorted(first)
+    columns = []
+    for index, key in enumerate(keys):
+        column = [record[key] for record in records]
+        if _flat(column):
+            continue
+        # A nested dict yields its keys here, never dicts, so only lists pass.
+        dicts = list(itertools.chain.from_iterable(v for v in column if _nested(v)))
+        if (set(map(type, dicts)) != {dict} or not all(dicts)
+                or not _flat(list(itertools.chain.from_iterable(map(dict.values, dicts))))):
+            return None
+        columns.append(index)
+    return keys, columns
+
+
+_CHUNK = 64  # records per pair of C calls; larger chunks only raise peak memory
+
+
+def _encode_records(records: Sequence[dict], keys: list[str], columns: list[int],
+                    depth: int) -> str:
+    """A record list (see ``_record_layout``) at ``depth``, two C calls per chunk.
+
+    One call encodes the chunk's stubs, each record with its nested values as
+    null; the other encodes the chunk's nested lists, in record order. With
+    one shared key set, item ``j`` of stub ``i`` is item ``i * len(keys) + j``
+    of the stubs' encoding, so each list goes in at a known null.
+    """
+    separator = ",\n" + _INDENT * (depth + 2)
+    list_gap = "}],\n" + _INDENT * (depth + 4) + "[{"
+    opening, closing = _dict_list_ends(depth + 2)
+    texts = []
+    for start in range(0, len(records), _CHUNK):
+        stubs, slots, lists = [], [], []
+        for row, record in enumerate(records[start:start + _CHUNK]):
+            stub = record
+            for index in columns:
+                value = record[keys[index]]
+                if _nested(value):
+                    if stub is record:
+                        stub = dict(record)
+                    stub[keys[index]] = None
+                    slots.append(row * len(keys) + index)
+                    lists.append(value)
+            stubs.append(stub)
+        # Inside "[" ... "]", a record's first item starts "{" and its last ends "}".
+        pieces = _encoder(depth + 2).encode(stubs)[1:-1].split(separator)
+        if lists:
+            # "[[{" ... "}]]": the lists are non-empty lists of non-empty dicts.
+            inner = _encoder(depth + 4).encode(lists)[3:-3].replace(*_dict_gaps(depth + 2))
+            for slot, text in zip(slots, inner.split(list_gap)):
+                head, _, tail = pieces[slot].rpartition("null")
+                pieces[slot] = head + opening + text + closing + tail
+        texts += (separator.join(pieces[i:i + len(keys)])[1:-1]
+                  for i in range(0, len(pieces), len(keys)))
+    before, after = _dict_list_ends(depth)
+    texts[0] = before + texts[0]  # so the join is the one copy of the whole
+    texts[-1] += after
+    return _dict_gaps(depth)[1].join(texts)
+
+
 def _encode(value: Any, depth: int, markers: set) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``.
 
     Flat containers (through the stub path, with nothing to splice) and lists
-    of flat dicts are one C encoder call each; Python walks only the containers
-    that hold other containers. Encoded strings never contain a raw newline,
-    so every ",\\n<pad>" in a C encoder's output is an item separator.
+    of flat dicts are one C encoder call each, and record lists (see
+    ``_record_layout``) two calls per chunk of records; Python walks only the
+    other containers that hold containers. Encoded strings never contain a
+    raw newline, so every ",\\n<pad>" in a C encoder's output is an item
+    separator.
     """
     if not _nested(value):
         return _encoder(depth).encode(value)
     is_dict = isinstance(value, dict)
     brackets = "{}" if is_dict else "[]"
-    if (not is_dict and set(map(type, value)) == {dict} and all(value)
-            and _flat(list(itertools.chain.from_iterable(map(dict.values, value))))):
-        # A list of non-empty flat dicts: one call, then break open the braces.
-        outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
-        text = _encoder(depth + 2).encode(value)[2:-2].replace(
-            "},\n" + inner + "{", f"\n{outer}}},\n{outer}{{\n{inner}")
-        return _wrap("[]", _wrap("{}", text, depth + 1), depth)
+    if not is_dict and set(map(type, value)) == {dict} and all(value):
+        if _flat(list(itertools.chain.from_iterable(map(dict.values, value)))):
+            # A list of non-empty flat dicts: one call, then break open the braces.
+            text = _encoder(depth + 2).encode(value)[2:-2].replace(*_dict_gaps(depth))
+            return _wrap("[]", _wrap("{}", text, depth + 1), depth)
+        layout = _record_layout(value)
+        if layout is not None:
+            return _encode_records(value, *layout, depth)
     # Any other: one call with every nested value as null, then splice them in.
     if id(value) in markers:
         raise ValueError("Circular reference detected")

@@ -812,6 +812,35 @@ def test_fit_that_does_not_converge_exits_4_with_its_report(tmp_path, capsys):
     assert math.isfinite(doc["residual_norm"])
 
 
+def test_fit_whose_model_goes_non_finite_exits_4_with_its_report(tmp_path, capsys):
+    # Resistance falls with thickness: the fit starts with tau on its upper
+    # bound, and its first trial step overflows exp(t / tau).
+    argv = _fit_argv(tmp_path, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                          "1,1,100\n2,1,5\n3,1,2000\n4,1,10\n")
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("(converged=False)\n")
+    text = (tmp_path / "out").read_text()
+    assert "NaN" not in text
+    doc = json.loads(text)
+    assert doc["model"] == "barrier"
+    assert doc["converged"] is False
+    assert all(math.isfinite(v) for v in doc["params"].values())
+    assert math.isfinite(doc["residual_norm"])
+
+
+def test_fit_whose_model_is_not_finite_at_the_start_exits_2(tmp_path, capsys):
+    # The log-linear seed puts tau below its bound, where exp(t / tau) overflows.
+    argv = _fit_argv(tmp_path, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                          "1,1,1\n1.001,1,1e100\n1.002,1,1e200\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: the model is not finite at the starting point for this data\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _plan_argv(tmp_path):
     wafer = jt.synthesize_wafer("WD", 2, 3, 50.0, 7781.0, 0.01, seed=2)
     tpath = tmp_path / "targets.json"

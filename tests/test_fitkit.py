@@ -89,6 +89,32 @@ def test_non_finite_model_raises():
             fit_curve(spec, Dataset(np.array([0.0, 1.0, 2.0, 5.0]), np.zeros(4)), [3.0])
 
 
+def _overflowing_fit():
+    # Resistance that falls with thickness: the first trial step drives tau
+    # onto its lower bound, where exp(t / tau) overflows.
+    spec = ModelSpec(lambda p, t: p[0] * np.exp(t / p[1]), ("a", "tau"),
+                     bounds=((1e-12, None), (1e-3, 100.0)))
+    data = Dataset(np.array([1.0, 2.0, 3.0, 4.0]), np.array([100.0, 5.0, 2000.0, 10.0]))
+    return spec, data
+
+
+def test_non_finite_trial_carries_the_fit_at_the_last_accepted_point():
+    spec, data = _overflowing_fit()
+    with pytest.raises(FitEvaluationError, match="non-finite values") as info:
+        fit_curve(spec, data, [70.0, 100.0])
+    fit = info.value.fit
+    assert fit.termination == "non_finite" and not fit.converged
+    assert fit.params.tolist() == [70.0, 100.0] and fit.iterations == 1
+    assert np.isfinite(fit.std_errors).all() and np.isfinite(fit.residual_norm)
+
+
+def test_non_finite_start_carries_no_fit():
+    spec, data = _overflowing_fit()
+    with pytest.raises(FitEvaluationError) as info:
+        fit_curve(spec, data, [70.0, 1e-3])  # no warning either: the fit silences numpy
+    assert info.value.fit is None
+
+
 def test_bounds_clamp_start_and_steps():
     spec = ModelSpec(lambda p, x: p[0] * x, ("slope",), bounds=((0.0, 2.0),))
     x = np.array([1.0, 2.0, 3.0, 4.0])

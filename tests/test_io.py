@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import jjtune as jt
 import jjtune.io as jio
+from jjtune.cli import main
 from jjtune.dose import DoseModel, StochasticParams
 from jjtune.errors import InfeasibleError, SchemaError
 
@@ -32,6 +33,36 @@ JSON_DOCS = st.recursive(
     ),
     max_leaves=40,
 )
+
+# Record lists, the shape of plan.json's junctions and traces.json's traces:
+# records on one key set whose nested values are lists of non-empty flat dicts.
+# Mixed in: records on another key set, empty records, and values that break
+# the shape (empty inner dicts, inner lists that hold flat and nested values).
+INNER_LISTS = st.lists(st.dictionaries(KEYS, FLAT, min_size=1, max_size=4), max_size=3)
+# One third each: "|" would flatten FLAT's many branches and draw few lists.
+RECORD_VALUES = st.sampled_from([FLAT, INNER_LISTS, INNER_LISTS.map(tuple)]).flatmap(lambda s: s)
+BREAKING_VALUES = (
+    st.lists(st.dictionaries(KEYS, FLAT, max_size=2), min_size=1, max_size=3)
+    | st.lists(FLAT | FLAT_DICTS | INNER_LISTS, min_size=1, max_size=3)
+)
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    records = draw(st.lists(st.fixed_dictionaries({key: RECORD_VALUES for key in keys}),
+                            min_size=1, max_size=70))
+    mix = draw(st.sampled_from(["none", "none", "other key set", "breaking value"]))
+    if mix == "other key set":
+        other = draw(st.dictionaries(KEYS, RECORD_VALUES, max_size=3))  # may be empty
+        records.insert(draw(st.integers(0, len(records))), other)
+    elif mix == "breaking value":
+        record = records[draw(st.integers(0, len(records) - 1))]
+        record[draw(st.sampled_from(keys))] = draw(BREAKING_VALUES)
+    return records
+
+
+RECORDS = _records()
 
 
 class TestJsonFiles:
@@ -67,6 +98,11 @@ class TestJsonFiles:
         jio.write_json(str(path), doc)
         expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @given(records=RECORDS)
+    def test_record_lists_equal_indented_json_dumps(self, records):
+        for doc in (records, {"records": records}):
+            assert jio.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_writer_keeps_dict_boundaries_inside_strings(self):
         doc = {"a},\n    {": [{"}": "},\n    {", "x": []}, {"{": {}}], "z": [[{}], ()]}
@@ -592,3 +628,28 @@ class TestDerivedDocs:
     def test_plan_doc(self):
         doc = jio.plan_to_doc("W1", [{"id": "J0"}])
         assert doc == {"wafer_id": "W1", "junctions": [{"id": "J0"}]}
+
+
+def test_plan_and_traces_files_equal_indented_json_dumps(tmp_path, capsys):
+    # Real repr floats and null powers, at a size past one chunk of records.
+    wafer = jt.synthesize_wafer("WR", 9, 9, 50.0, 7781.0, 0.01, seed=11)
+    wafer_path, targets_path = str(tmp_path / "wafer.json"), str(tmp_path / "targets.json")
+    jio.write_json(wafer_path, jio.wafer_to_doc(wafer))
+    rng = np.random.default_rng(12)
+    targets = {j.id: (jt.qubit_frequency(j.resistance) - rng.uniform(20e6, 150e6)) / 1e9
+               for j in wafer.junctions}
+    jio.write_json(targets_path, {"targets_ghz": targets})
+    plan_path = str(tmp_path / "plan.json")
+    assert main(["--output", plan_path, "plan", wafer_path, targets_path]) == 0
+    assert main(["--seed", "3", "--format", "csv", "--output", str(tmp_path / "tuned"),
+                 "tune", wafer_path, plan_path]) == 0
+    capsys.readouterr()
+    docs = {}
+    for path in (tmp_path / "plan.json", tmp_path / "tuned" / "traces.json"):
+        text = path.read_text()
+        docs[path.name] = json.loads(text)
+        assert text == json.dumps(docs[path.name], indent=2, sort_keys=True) + "\n"
+    junctions, traces = docs["plan.json"]["junctions"], docs["traces.json"]["traces"]
+    assert len(junctions) == len(traces) == 81
+    assert any(it["power_mw"] is None for trace in traces for it in trace["iterations"])
+    assert jio._record_layout(junctions) is not None and jio._record_layout(traces) is not None
