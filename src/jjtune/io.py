@@ -81,8 +81,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple)  # a non-empty one is nested: indent=2 opens it up
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_CHUNK = 64  # values per C encoder call; larger chunks only raise peak memory
 
 
 @functools.lru_cache(maxsize=32)
@@ -95,152 +96,88 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": "))
 
 
-def _nested(value: Any) -> bool:
-    """A non-empty dict, list or tuple: a value the indented layout opens up."""
-    return isinstance(value, _CONTAINERS) and bool(value)
+def _dict_lists(values: Sequence) -> bool:
+    """True when every value is a non-empty list or tuple of non-empty dicts
+    that hold no nested value."""
+    if not all(isinstance(value, (list, tuple)) and value for value in values):
+        return False
+    dicts = list(itertools.chain.from_iterable(values))
+    if set(map(type, dicts)) != {dict} or not all(dicts):
+        return False
+    items = list(itertools.chain.from_iterable(map(dict.values, dicts)))
+    return (_SCALAR_TYPES.issuperset(map(type, items))
+            or not any(isinstance(item, _CONTAINERS) and item for item in items))
 
 
-def _flat(values: Sequence) -> bool:
-    """True when no value is nested."""
-    return _SCALAR_TYPES.issuperset(map(type, values)) or not any(map(_nested, values))
+def _encode(values: Sequence, depth: int, seen: set) -> list[str]:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for each of ``values``,
+    nested ``depth`` levels deep, encoded one level at a time.
 
+    Each chunk of values takes one C encoder call: a chunk of lists of flat
+    dicts in full, any other chunk as stubs, each container with its nested
+    values as null. Those nested values, one level down, take one recursion
+    per chunk, and their texts go in at the nulls. Encoded strings never
+    contain a raw newline, so every ",\\n<pad>" in a C encoder's output is an
+    item separator.
 
-def _wrap(brackets: str, inner: str, depth: int) -> str:
-    """A container's items between its brackets, one per line, at ``depth``."""
-    return f"{brackets[0]}\n{_INDENT * (depth + 1)}{inner}\n{_INDENT * depth}{brackets[1]}"
-
-
-def _dict_list_ends(depth: int) -> tuple[str, str]:
-    """What ``indent=2`` writes before the first and after the last item of a
-    list of non-empty dicts at ``depth``."""
-    outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
-    return f"[\n{outer}{{\n{inner}", f"\n{outer}}}\n{_INDENT * depth}]"
-
-
-def _dict_gaps(depth: int) -> tuple[str, str]:
-    """The boundary of two adjacent non-empty dicts in a list at ``depth``:
-    as a C encoder at ``depth + 2`` writes it, and as ``indent=2`` lays it out."""
-    outer, inner = _INDENT * (depth + 1), _INDENT * (depth + 2)
-    return "},\n" + inner + "{", f"\n{outer}}},\n{outer}{{\n{inner}"
-
-
-def _record_layout(records: Sequence[dict]) -> tuple[list[str], list[int]] | None:
-    """``(keys, columns)`` of a list of non-empty dicts that is a record list,
-    or None.
-
-    A record list holds non-empty dicts that share one set of string keys and
-    whose nested values are all lists of non-empty flat dicts: ``plan.json``'s
-    junctions with their shots, ``traces.json``'s traces with their
-    iterations. ``keys`` are the shared keys, sorted; ``columns`` are the
-    positions in ``keys`` of those that hold a nested value in some record.
+    ``seen`` holds the id of each container met that holds a nested value.
+    One met again is shared or on a cycle; the C encoder's own check on it
+    raises ``ValueError`` for a cycle, as ``json.dumps`` does.
     """
-    first = records[0].keys()
-    if not all(type(key) is str for key in first) or not all(first == r.keys() for r in records):
-        return None
-    keys = sorted(first)
-    columns = []
-    for index, key in enumerate(keys):
-        column = [record[key] for record in records]
-        if _flat(column):
-            continue
-        # A nested dict yields its keys here, never dicts, so only lists pass.
-        dicts = list(itertools.chain.from_iterable(v for v in column if _nested(v)))
-        if (set(map(type, dicts)) != {dict} or not all(dicts)
-                or not _flat(list(itertools.chain.from_iterable(map(dict.values, dicts))))):
-            return None
-        columns.append(index)
-    return keys, columns
-
-
-_CHUNK = 64  # records per pair of C calls; larger chunks only raise peak memory
-
-
-def _encode_records(records: Sequence[dict], keys: list[str], columns: list[int],
-                    depth: int) -> str:
-    """A record list (see ``_record_layout``) at ``depth``, two C calls per chunk.
-
-    One call encodes the chunk's stubs, each record with its nested values as
-    null; the other encodes the chunk's nested lists, in record order. With
-    one shared key set, item ``j`` of stub ``i`` is item ``i * len(keys) + j``
-    of the stubs' encoding, so each list goes in at a known null.
-    """
-    separator = ",\n" + _INDENT * (depth + 2)
-    list_gap = "}],\n" + _INDENT * (depth + 4) + "[{"
-    opening, closing = _dict_list_ends(depth + 2)
+    pad, inner_pad = _INDENT * depth, _INDENT * (depth + 1)
+    separator = ",\n" + inner_pad
     texts = []
-    for start in range(0, len(records), _CHUNK):
-        stubs, slots, lists = [], [], []
-        for row, record in enumerate(records[start:start + _CHUNK]):
-            stub = record
-            for index in columns:
-                value = record[keys[index]]
-                if _nested(value):
-                    if stub is record:
-                        stub = dict(record)
-                    stub[keys[index]] = None
-                    slots.append(row * len(keys) + index)
-                    lists.append(value)
+    for start in range(0, len(values), _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        if _dict_lists(chunk):
+            # "[[{" ... "}]]": break the dicts open, then split at the lists.
+            dict_pad = _INDENT * (depth + 2)
+            text = _encoder(depth + 2).encode(chunk)[3:-3].replace(
+                "},\n" + dict_pad + "{", f"\n{inner_pad}}},\n{inner_pad}{{\n{dict_pad}")
+            texts += (f"[\n{inner_pad}{{\n{dict_pad}{part}\n{inner_pad}}}\n{pad}]"
+                      for part in text.split("}],\n" + dict_pad + "[{"))
+            continue
+        # (first piece, item count) per value; a scalar or an empty container is one piece.
+        stubs, spans, slots, nested = [], [], [], []
+        at = 0
+        for value in chunk:
+            size = len(value) if isinstance(value, _CONTAINERS) else 0
+            stub = value
+            items = value.values() if isinstance(value, dict) else value
+            if size and not _SCALAR_TYPES.issuperset(map(type, items)):
+                keys = sorted(value) if isinstance(value, dict) else range(size)
+                for slot, key in enumerate(keys, at):
+                    item = value[key]
+                    if isinstance(item, _CONTAINERS) and item:
+                        if stub is value:
+                            if id(value) in seen:  # shared, or on a cycle
+                                _encoder(depth).encode(value)  # raises on a cycle
+                            seen.add(id(value))
+                            stub = dict(value) if isinstance(value, dict) else list(value)
+                        stub[key] = None
+                        slots.append(slot)
+                        nested.append(item)
             stubs.append(stub)
-        # Inside "[" ... "]", a record's first item starts "{" and its last ends "}".
-        pieces = _encoder(depth + 2).encode(stubs)[1:-1].split(separator)
-        if lists:
-            # "[[{" ... "}]]": the lists are non-empty lists of non-empty dicts.
-            inner = _encoder(depth + 4).encode(lists)[3:-3].replace(*_dict_gaps(depth + 2))
-            for slot, text in zip(slots, inner.split(list_gap)):
-                head, _, tail = pieces[slot].rpartition("null")
-                pieces[slot] = head + opening + text + closing + tail
-        texts += (separator.join(pieces[i:i + len(keys)])[1:-1]
-                  for i in range(0, len(pieces), len(keys)))
-    before, after = _dict_list_ends(depth)
-    texts[0] = before + texts[0]  # so the join is the one copy of the whole
-    texts[-1] += after
-    return _dict_gaps(depth)[1].join(texts)
-
-
-def _encode(value: Any, depth: int, markers: set) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``.
-
-    Flat containers (through the stub path, with nothing to splice) and lists
-    of flat dicts are one C encoder call each, and record lists (see
-    ``_record_layout``) two calls per chunk of records; Python walks only the
-    other containers that hold containers. Encoded strings never contain a
-    raw newline, so every ",\\n<pad>" in a C encoder's output is an item
-    separator.
-    """
-    if not _nested(value):
-        return _encoder(depth).encode(value)
-    is_dict = isinstance(value, dict)
-    brackets = "{}" if is_dict else "[]"
-    if not is_dict and set(map(type, value)) == {dict} and all(value):
-        if _flat(list(itertools.chain.from_iterable(map(dict.values, value)))):
-            # A list of non-empty flat dicts: one call, then break open the braces.
-            text = _encoder(depth + 2).encode(value)[2:-2].replace(*_dict_gaps(depth))
-            return _wrap("[]", _wrap("{}", text, depth + 1), depth)
-        layout = _record_layout(value)
-        if layout is not None:
-            return _encode_records(value, *layout, depth)
-    # Any other: one call with every nested value as null, then splice them in.
-    if id(value) in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(id(value))
-    if is_dict:
-        items = [value[key] for key in sorted(value)]
-        stub = {key: None if _nested(v) else v for key, v in value.items()}
-    else:
-        items = value
-        stub = [None if _nested(v) else v for v in value]
-    separator = ",\n" + _INDENT * (depth + 1)
-    pieces = _encoder(depth + 1).encode(stub)[1:-1].split(separator)
-    for index, item in enumerate(items):
-        if _nested(item):
-            pieces[index] = pieces[index][: -len("null")] + _encode(item, depth + 1, markers)
-    markers.discard(id(value))
-    return _wrap(brackets, separator.join(pieces), depth)
+            spans.append((at, size))
+            at += size or 1
+        pieces = _encoder(depth + 1).encode(stubs)[1:-1].split(separator)
+        for at, size in spans:
+            if size:  # the brackets, while the end pieces are short
+                first = pieces[at]
+                pieces[at] = f"{first[0]}\n{inner_pad}{first[1:]}"
+                last = pieces[at + size - 1]
+                pieces[at + size - 1] = f"{last[:-1]}\n{pad}{last[-1]}"
+        inner = _encode(nested, depth + 1, seen)
+        for slot in reversed(slots):
+            head, _, tail = pieces[slot].rpartition("null")
+            pieces[slot] = f"{head}{inner.pop()}{tail}"
+        texts += (separator.join(pieces[at:at + (size or 1)]) for at, size in spans)
+    return texts
 
 
 def json_text(doc: Any) -> str:
     """Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, mostly in C."""
-    return _encode(doc, 0, set()) + "\n"
+    return _encode([doc], 0, set())[0] + "\n"
 
 
 def write_json(path: str, doc: dict) -> None:

@@ -108,10 +108,21 @@ class TestJsonFiles:
         doc = {"a},\n    {": [{"}": "},\n    {", "x": []}, {"{": {}}], "z": [[{}], ()]}
         assert jio.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("doc", [
+        [7, "s", None, {}, [], (), {"a": 1}, [{"b": 2.5}], {"c": {"d": [1]}}] * 8,
+        [[{"a": i}] for i in range(64)] + [[{"a": [1]}]],
+        (lambda x: {"x": x, "y": [x, [x]]})([1, {"a": [2]}]),
+        ({"a": 1}, {"b": None}),
+        1.5,
+    ])
+    def test_mixed_and_shared_shapes_equal_indented_json_dumps(self, doc):
+        assert jio.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("make", [
         lambda: (lambda d: d.setdefault("self", d))({"a": 1}),
         lambda: (lambda l: l.append([l]) or l)([1]),
         lambda: (lambda d: d["k"].append({"b": d}) or d)({"k": [{"a": 1}]}),
+        lambda: (lambda l: l.append({"loop": l}) or l)([{"i": [i]} for i in range(2000)]),
     ])
     def test_circular_input_raises_value_error(self, make):
         doc = make()
@@ -652,4 +663,3 @@ def test_plan_and_traces_files_equal_indented_json_dumps(tmp_path, capsys):
     junctions, traces = docs["plan.json"]["junctions"], docs["traces.json"]["traces"]
     assert len(junctions) == len(traces) == 81
     assert any(it["power_mw"] is None for trace in traces for it in trace["iterations"])
-    assert jio._record_layout(junctions) is not None and jio._record_layout(traces) is not None
