@@ -205,6 +205,14 @@ class DoseModel:
     displacement: DisplacementParams = DisplacementParams()
     stochastic: StochasticParams = StochasticParams()
 
+    def __post_init__(self) -> None:
+        # Set where the model is built, so a model made by dataclasses.replace
+        # starts afresh: the transfer at zero displacement, which every
+        # mean_shift divides by, and a memo for constants the tuner derives
+        # from this model.
+        object.__setattr__(self, "_zero_transfer", heat_transfer_factor(0.0, self.displacement))
+        object.__setattr__(self, "_memo", {})
+
 
 DEFAULT_RECIPE = LasingRecipe(power=40.0, exposure=60.0, repetitions=1, displacement=0.0)
 
@@ -284,13 +292,6 @@ def exposure_factor(
     return 1.0 - math.exp(-(exposure * repetitions) / response.char_exposure_u0)
 
 
-def _coupling(displacement: float, model: DoseModel) -> float:
-    # Normalized thermal transfer; 1 at zero displacement by construction.
-    return heat_transfer_factor(displacement, model.displacement) / heat_transfer_factor(
-        0.0, model.displacement
-    )
-
-
 def mean_shift(
     recipe: LasingRecipe, model: DoseModel = DoseModel(), beam_offset: float = 0.0
 ) -> float:
@@ -299,7 +300,15 @@ def mean_shift(
     ``beam_offset`` (um, non-negative) is added to the recipe's displacement,
     e.g. a visit's centering error.
     """
-    effective_power = recipe.power * _coupling(recipe.displacement + beam_offset, model)
+    displacement = recipe.displacement + beam_offset
+    # Normalized thermal transfer; 1 at zero displacement by construction
+    # (exp(-0.0) is 1.0, so a zero of either sign has the model's zero transfer).
+    transfer = (
+        model._zero_transfer
+        if displacement == 0.0
+        else heat_transfer_factor(displacement, model.displacement)
+    )
+    effective_power = recipe.power * (transfer / model._zero_transfer)
     temperature = junction_temperature(effective_power, model.heating)
     saturated = mean_shift_vs_temperature(temperature, model.response)
     return saturated * exposure_factor(recipe.exposure, recipe.repetitions, model.response)

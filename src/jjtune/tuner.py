@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -49,6 +49,15 @@ __all__ = [
 
 # Commanded single-shot ceiling stays just under the power limit.
 _POWER_CEILING_MW = 49.99
+# The most shots one plan may list: a larger budget is refused before any
+# shot is counted or built (a 1e-9 s exposure would otherwise need billions).
+_MAX_SHOTS = 1000
+# Frequencies an infeasible spacing's message lists before it gives the count.
+_CHAIN_SHOWN = 5
+# Entries a model's memo holds before it starts over.
+_MEMO_SIZE = 64
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,53 @@ def required_shift(f_now: float, f_target: float) -> float:
     return resistance_for_frequency(f_target) / resistance_for_frequency(f_now) - 1.0
 
 
+def _is_tied(model: DoseModel) -> bool:
+    """Whether the model's dose curve is tied to zero shift at its heating ambient."""
+    memo = model._memo
+    tied = memo.get("tied")
+    if tied is None:
+        r = model.response
+        tied = memo["tied"] = r.depth_b == r.tied_depth(model.heating.ambient)
+    return tied
+
+
+def _at_exposure(compute: Callable[[DoseModel, float], _T], model: DoseModel, exposure: float) -> _T:
+    """``compute(model, exposure)``, computed once per model and float exposure.
+
+    The value is kept on the model, so a model made by dataclasses.replace
+    computes its own. Equal float exposures have the same bits here (zero and
+    NaN are refused), so one value serves them all; an exposure of another
+    type is computed afresh each time.
+    """
+    if type(exposure) is not float:
+        return compute(model, exposure)
+    memo = model._memo
+    key = (compute, exposure)
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        value = memo[key] = compute(model, exposure)
+    return value
+
+
+def _plateau(model: DoseModel, exposure: float) -> float:
+    # The mean shift one shot of this exposure approaches as its power grows.
+    r = model.response
+    return r.plateau_m * exposure_factor(exposure, 1, r)
+
+
+def _single_shot_ceiling(model: DoseModel, exposure: float) -> float:
+    ceiling_recipe = LasingRecipe(power=_POWER_CEILING_MW, exposure=exposure)
+    return mean_shift(ceiling_recipe, model)
+
+
+def _full_shot(model: DoseModel, exposure: float) -> tuple[LasingRecipe, float]:
+    # One default-power shot and its mean shift.
+    full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
+    return full, mean_shift(full, model)
+
+
 def power_for_shift(
     target_shift: float,
     model: DoseModel = DoseModel(),
@@ -128,18 +184,17 @@ def power_for_shift(
     """
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
-    r = model.response
-    if r.depth_b != r.tied_depth(model.heating.ambient):
+    if not _is_tied(model):
         raise DomainError("power_for_shift needs depth_b tied to the heating ambient")
     if target_shift == 0.0:
         return 0.0
-    plateau = r.plateau_m * exposure_factor(exposure, 1, r)
+    plateau = _at_exposure(_plateau, model, exposure)
     if target_shift >= plateau:
         raise InfeasibleError(
             f"shift {target_shift:.6g} is at or above the single-shot "
             f"plateau {plateau:.6g}"
         )
-    t0 = r.char_temperature_t0
+    t0 = model.response.char_temperature_t0
     temperature_rise = -t0 * math.log1p(-target_shift / plateau)
     power = temperature_rise / model.heating.slope
     if power > _POWER_CEILING_MW:
@@ -153,11 +208,6 @@ def power_for_shift(
     return power
 
 
-def _single_shot_ceiling(model: DoseModel, exposure: float) -> float:
-    ceiling_recipe = LasingRecipe(power=_POWER_CEILING_MW, exposure=exposure)
-    return mean_shift(ceiling_recipe, model)
-
-
 def recipe_for_shift(
     target_shift: float,
     model: DoseModel = DoseModel(),
@@ -168,23 +218,25 @@ def recipe_for_shift(
 
     Single shot when one suffices; otherwise default-power shots plus one
     exact trimming shot, composed multiplicatively. Targets needing more
-    than max_shots raise with the achievable bound.
+    than max_shots raise with the achievable bound. A max_shots above 1000
+    is refused, whatever the target.
     """
     if max_shots < 1:
         raise DomainError(f"max_shots must be at least 1, got {max_shots!r}")
+    if not max_shots <= _MAX_SHOTS:
+        raise DomainError(f"max_shots must be at most {_MAX_SHOTS}, got {max_shots!r}")
     if not 0.0 < exposure < math.inf:
         raise DomainError(f"exposure must be positive and finite, got {exposure!r}")
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
     if target_shift == 0.0:
         return ()
-    ceiling = _single_shot_ceiling(model, exposure)
+    ceiling = _at_exposure(_single_shot_ceiling, model, exposure)
     if target_shift <= ceiling:
         power = power_for_shift(target_shift, model, exposure)
         return (LasingRecipe(power=power, exposure=exposure),)
 
-    full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
-    per_shot = mean_shift(full, model)
+    full, per_shot = _at_exposure(_full_shot, model, exposure)
     # Count the shots before building any: a tiny exposure needs billions,
     # and one that shifts nothing can never reach the target.
     n_shots = math.inf
@@ -232,7 +284,7 @@ def iterative_tune(
     r_target = resistance_for_frequency(f_target)
     f_aim = f_target * (1.0 + policy.guard_fraction * policy.tolerance)
     r_aim = resistance_for_frequency(f_aim)
-    mu_ceiling = _single_shot_ceiling(model, DEFAULT_RECIPE.exposure)
+    mu_ceiling = _at_exposure(_single_shot_ceiling, model, DEFAULT_RECIPE.exposure)
 
     state = junction
     fused_logs: list[float] = []
@@ -312,7 +364,9 @@ def allocate_targets(frequencies: Sequence[float], min_spacing: float) -> list[f
         else:
             chain = [freqs[index]]
         if t <= 0:
-            listing = ", ".join(f"{f / 1e9:.6f}" for f in chain)
+            listing = ", ".join(f"{f / 1e9:.6f}" for f in chain[:_CHAIN_SHOWN])
+            if len(chain) > _CHAIN_SHOWN:
+                listing += f", ... ({len(chain)} in all)"
             raise InfeasibleError(
                 f"spacing {min_spacing / 1e6:.3g} MHz forces a non-positive "
                 f"target; violating chain (GHz): {listing}"

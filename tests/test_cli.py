@@ -371,6 +371,8 @@ class TestPlan:
         (["--exposure-s", "nan"], "exposure must be positive and finite"),
         (["--exposure-s", "inf"], "exposure must be positive and finite"),
         (["--max-shots", "0"], "max_shots must be at least 1"),
+        # A budget of billions at 1e-9 s would build a ~13.6 GB plan.
+        (["--exposure-s", "1e-9", "--max-shots", "1001"], "max_shots must be at most 1000"),
     ])
     def test_bad_shot_flag_is_input_error(self, tmp_path, capsys, flags, message):
         wpath, _ = self._spread_wafer(tmp_path)
@@ -876,7 +878,8 @@ def _fit_tls_argv(tmp_path):
 SPELLED_DEFAULTS = {
     "plan": (_plan_argv, ["--exposure-s", "60", "--max-shots", "16"]),
     "tune": (_tune_argv, ["--step-fraction", "0.7", "--tolerance", "0.0025",
-                          "--max-iterations", "8", "--measurement-noise-sigma", "0.002"]),
+                          "--max-iterations", "8", "--measurement-noise-sigma", "0.002",
+                          "--shot-noise-sigma", "0.01"]),
     "tls-scan": (_tls_scan_argv, ["--max-defects", "1", "--dropout-probability", "0"]),
     "fit tls": (_fit_tls_argv, ["--max-defects", "1"]),
 }

@@ -95,6 +95,7 @@ class TestRecipeForShift:
     @pytest.mark.parametrize("target", [0.0, 0.005, 0.05])
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_shots": 0}, "max_shots"),
+        ({"max_shots": 1001}, "max_shots must be at most 1000"),
         ({"exposure": math.nan}, "exposure"),
         ({"exposure": math.inf}, "exposure"),
     ])
@@ -264,6 +265,15 @@ class TestAllocateTargets:
     def test_impossible_chain_reported(self):
         with pytest.raises(InfeasibleError, match="violating chain"):
             jt.allocate_targets([1e8, 1.2e8], 2e8)
+
+    def test_long_chain_is_cut_to_its_head_and_count(self):
+        # 3000 equal frequencies 2 MHz apart reach zero after 2501 of them.
+        with pytest.raises(InfeasibleError) as info:
+            jt.allocate_targets([5e9] * 3000, 2e6)
+        assert str(info.value).endswith(
+            "violating chain (GHz): 5.000000, 5.000000, 5.000000, 5.000000, 5.000000, "
+            "... (2501 in all)"
+        )
 
     def test_validation(self):
         with pytest.raises(DomainError):
