@@ -95,9 +95,9 @@ class TestRecipeForShift:
     @pytest.mark.parametrize("target", [0.0, 0.005, 0.05])
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_shots": 0}, "max_shots"),
-        ({"max_shots": 1001}, "max_shots must be at most 1000"),
         ({"exposure": math.nan}, "exposure"),
         ({"exposure": math.inf}, "exposure"),
+        ({"max_shots": 1001}, "max_shots must be at most 1000"),
     ])
     def test_bad_budget_or_exposure_is_refused(self, target, kwargs, message):
         # Refused up front, also when no shot is needed.
