@@ -135,7 +135,7 @@ class DisplacementParams:
             raise DomainError("transfer parameters must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LasingRecipe:
     """One shot command: power (mW), exposure (s), repetitions, displacement (um)."""
 
@@ -177,13 +177,13 @@ class StochasticParams:
             raise DomainError("relative_sigma must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnealRecord:
     recipe: LasingRecipe
     shift: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JunctionState:
     """Immutable junction snapshot; anneals return a new state."""
 

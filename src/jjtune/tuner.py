@@ -49,9 +49,10 @@ __all__ = [
 
 # Commanded single-shot ceiling stays just under the power limit.
 _POWER_CEILING_MW = 49.99
-# The most shots one plan may list: a larger budget is refused before any
-# shot is counted or built (a 1e-9 s exposure would otherwise need billions).
-_MAX_SHOTS = 1000
+# The most shots one junction's plan may list, whatever its budget: a count
+# above it is refused before any shot is built (a 1e-9 s exposure would need
+# billions). Each listed shot is about 150 bytes of plan.json.
+_MAX_PLAN_SHOTS = 10_000
 # Frequencies an infeasible spacing's message lists before it gives the count.
 _CHAIN_SHOWN = 5
 # Entries a model's memo holds before it starts over.
@@ -93,7 +94,7 @@ class TunePolicy:
             raise DomainError("guard_fraction must be in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TuneIteration:
     measured_r: float
     inferred_f: float
@@ -101,7 +102,7 @@ class TuneIteration:
     sampled_shift: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TuneTrace:
     junction_id: str
     target_f: float
@@ -134,17 +135,15 @@ def _is_tied(model: DoseModel) -> bool:
 
 
 def _at_exposure(compute: Callable[[DoseModel, float], _T], model: DoseModel, exposure: float) -> _T:
-    """``compute(model, exposure)``, computed once per model and float exposure.
+    """``compute(model, exposure)``, computed once per model and exposure.
 
     The value is kept on the model, so a model made by dataclasses.replace
-    computes its own. Equal float exposures have the same bits here (zero and
-    NaN are refused), so one value serves them all; an exposure of another
-    type is computed afresh each time.
+    computes its own. The key holds the exposure's type, so an int 60 keeps
+    its own recipe; compute refuses zero, NaN and inf, so no key is ever
+    stored that equal exposures of other bits would share.
     """
-    if type(exposure) is not float:
-        return compute(model, exposure)
     memo = model._memo
-    key = (compute, exposure)
+    key = (compute, type(exposure), exposure)
     value = memo.get(key)
     if value is None:
         if len(memo) >= _MEMO_SIZE:
@@ -218,13 +217,11 @@ def recipe_for_shift(
 
     Single shot when one suffices; otherwise default-power shots plus one
     exact trimming shot, composed multiplicatively. Targets needing more
-    than max_shots raise with the achievable bound. A max_shots above 1000
-    is refused, whatever the target.
+    than max_shots raise with the achievable bound, and so do targets
+    needing more than 10,000 shots, whatever the budget.
     """
     if max_shots < 1:
         raise DomainError(f"max_shots must be at least 1, got {max_shots!r}")
-    if not max_shots <= _MAX_SHOTS:
-        raise DomainError(f"max_shots must be at most {_MAX_SHOTS}, got {max_shots!r}")
     if not 0.0 < exposure < math.inf:
         raise DomainError(f"exposure must be positive and finite, got {exposure!r}")
     if target_shift < 0:
@@ -252,6 +249,11 @@ def recipe_for_shift(
         raise InfeasibleError(
             f"shift {target_shift:.6g} needs {n_shots} shots (> {max_shots}); "
             f"achievable within budget: {achievable:.6g}"
+        )
+    if n_shots > _MAX_PLAN_SHOTS:
+        raise InfeasibleError(
+            f"shift {target_shift:.6g} needs {n_shots} shots, more than the "
+            f"{_MAX_PLAN_SHOTS} one plan may list"
         )
     shots = (full,) * n_full
     if remainder > 1e-12:
@@ -284,7 +286,10 @@ def iterative_tune(
     r_target = resistance_for_frequency(f_target)
     f_aim = f_target * (1.0 + policy.guard_fraction * policy.tolerance)
     r_aim = resistance_for_frequency(f_aim)
-    mu_ceiling = _at_exposure(_single_shot_ceiling, model, DEFAULT_RECIPE.exposure)
+    band = policy.tolerance * f_target
+    sigma = policy.measurement_noise_sigma
+    exposure = DEFAULT_RECIPE.exposure
+    mu_ceiling = _at_exposure(_single_shot_ceiling, model, exposure)
 
     state = junction
     fused_logs: list[float] = []
@@ -292,14 +297,12 @@ def iterative_tune(
     outcome: str = "exhausted"
 
     for iteration in range(policy.max_iterations):
-        measured = state.resistance * (
-            1.0 + policy.measurement_noise_sigma * float(rng.standard_normal())
-        )
+        measured = state.resistance * (1.0 + sigma * float(rng.standard_normal()))
         fused_logs.append(math.log(measured))
         r_hat = math.exp(sum(fused_logs) / len(fused_logs))
         inferred = qubit_frequency(r_hat)
 
-        if abs(inferred - f_target) <= policy.tolerance * f_target:
+        if abs(inferred - f_target) <= band:
             rows.append(TuneIteration(measured, inferred, None, None))
             outcome = "converged"
             break
@@ -321,10 +324,7 @@ def iterative_tune(
             # band: hold and let another measurement refine the estimate.
             rows.append(TuneIteration(measured, inferred, None, None))
             continue
-        recipe = LasingRecipe(
-            power=power_for_shift(step, model, DEFAULT_RECIPE.exposure),
-            exposure=DEFAULT_RECIPE.exposure,
-        )
+        recipe = LasingRecipe(power=power_for_shift(step, model, exposure), exposure=exposure)
         state = apply_anneal(state, recipe, rng, model)
         sampled = state.history[-1].shift
         rows.append(TuneIteration(measured, inferred, recipe, sampled))

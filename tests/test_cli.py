@@ -371,8 +371,6 @@ class TestPlan:
         (["--exposure-s", "nan"], "exposure must be positive and finite"),
         (["--exposure-s", "inf"], "exposure must be positive and finite"),
         (["--max-shots", "0"], "max_shots must be at least 1"),
-        # A budget of billions at 1e-9 s would build a ~13.6 GB plan.
-        (["--exposure-s", "1e-9", "--max-shots", "1001"], "max_shots must be at most 1000"),
     ])
     def test_bad_shot_flag_is_input_error(self, tmp_path, capsys, flags, message):
         wpath, _ = self._spread_wafer(tmp_path)
@@ -404,6 +402,48 @@ class TestPlan:
         assert err.startswith("infeasible: shift 0.0198876 needs ")
         assert err.endswith(f"shots (> 16); achievable within budget: {achievable}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("exposure, max_shots, count", [
+        ("1.6906e-4", "10001", "10001"),
+        # The plan would list 1.7e9 shots, a tuple of ~13.6 GB.
+        ("1e-9", "2000000000", "1690652305"),
+    ])
+    def test_plan_past_the_shot_bound_is_infeasible(self, tmp_path, capsys, exposure,
+                                                    max_shots, count):
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        jio.write_json(str(tpath), {"targets_ghz": {
+            "W-J0": (jt.qubit_frequency(7781.0) - 60e6) / 1e9,
+            "W-J1": jt.qubit_frequency(8200.0) / 1e9,
+        }})
+        out = tmp_path / "p.json"
+        argv = ["--output", str(out), "plan", wpath, str(tpath),
+                "--exposure-s", exposure, "--max-shots", max_shots]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"infeasible: shift 0.0198876 needs {count} shots, more than the 10000 "
+            "one plan may list\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exposure, max_shots, count", [
+        ("1.6908e-4", "10001", 10000),
+        ("60", "5000", 2),
+    ])
+    def test_plan_within_the_shot_bound_is_built(self, tmp_path, capsys, exposure,
+                                                 max_shots, count):
+        wpath, _ = self._spread_wafer(tmp_path)
+        tpath = tmp_path / "targets.json"
+        jio.write_json(str(tpath), {"targets_ghz": {
+            "W-J0": (jt.qubit_frequency(7781.0) - 60e6) / 1e9,
+            "W-J1": jt.qubit_frequency(8200.0) / 1e9,
+        }})
+        out = tmp_path / "p.json"
+        argv = ["--output", str(out), "plan", wpath, str(tpath),
+                "--exposure-s", exposure, "--max-shots", max_shots]
+        assert main(argv) == 0
+        shots = {e["id"]: e["shots"] for e in jio.load_json(str(out))["junctions"]}
+        assert (len(shots["W-J0"]), shots["W-J1"]) == (count, [])
 
     def test_non_finite_spacing_is_input_error(self, tmp_path, capsys):
         wpath, _ = self._spread_wafer(tmp_path)

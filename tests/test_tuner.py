@@ -97,12 +97,19 @@ class TestRecipeForShift:
         ({"max_shots": 0}, "max_shots"),
         ({"exposure": math.nan}, "exposure"),
         ({"exposure": math.inf}, "exposure"),
-        ({"max_shots": 1001}, "max_shots must be at most 1000"),
     ])
     def test_bad_budget_or_exposure_is_refused(self, target, kwargs, message):
         # Refused up front, also when no shot is needed.
         with pytest.raises(DomainError, match=message):
             jt.recipe_for_shift(target, **kwargs)
+
+    def test_plan_past_the_shot_bound_is_refused_whatever_the_budget(self):
+        # Counted, not built: 1.7e9 shots would be a ~13.6 GB tuple.
+        with pytest.raises(InfeasibleError, match=r"needs \d{10} shots, more than the 10000 "):
+            jt.recipe_for_shift(0.02, exposure=1e-9, max_shots=3_000_000_000)
+
+    def test_large_budget_plans_what_the_default_does(self):
+        assert jt.recipe_for_shift(0.05, max_shots=5000) == jt.recipe_for_shift(0.05)
 
     def test_zero_per_shot_shift_is_infeasible(self):
         # An exposure this short shifts nothing, so no number of shots helps.
