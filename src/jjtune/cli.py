@@ -353,9 +353,17 @@ def _cmd_tls_scan(args: argparse.Namespace) -> int:
 def _extraction_doc(spectro, args: argparse.Namespace) -> dict:
     """The defects document of the map's time-averaged profile, at ``--wait-us``."""
     wait = args.wait_us * 1e-6
-    extraction = extract_tls(
-        spectro.freq_offsets, time_average(spectro), wait, **_given(args, "max_defects")
-    )
+    try:
+        extraction = extract_tls(
+            spectro.freq_offsets, time_average(spectro), wait, **_given(args, "max_defects")
+        )
+    except FitEvaluationError as exc:
+        if exc.fit is not None:
+            raise
+        raise SchemaError(
+            f"the defect model is not finite at the starting point for this map "
+            f"at --wait-us {args.wait_us:g}"
+        )
     return jio.extraction_to_doc(extraction, wait)
 
 

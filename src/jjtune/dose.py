@@ -208,10 +208,8 @@ class DoseModel:
     def __post_init__(self) -> None:
         # Set where the model is built, so a model made by dataclasses.replace
         # starts afresh: the transfer at zero displacement, which every
-        # mean_shift divides by, and a memo for constants the tuner derives
-        # from this model.
+        # mean_shift divides by.
         object.__setattr__(self, "_zero_transfer", heat_transfer_factor(0.0, self.displacement))
-        object.__setattr__(self, "_memo", {})
 
 
 DEFAULT_RECIPE = LasingRecipe(power=40.0, exposure=60.0, repetitions=1, displacement=0.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence, TypeVar
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -57,8 +57,6 @@ _MAX_PLAN_SHOTS = 10_000
 _CHAIN_SHOWN = 5
 # Entries a model's memo holds before it starts over.
 _MEMO_SIZE = 64
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -124,49 +122,28 @@ def required_shift(f_now: float, f_target: float) -> float:
     return resistance_for_frequency(f_target) / resistance_for_frequency(f_now) - 1.0
 
 
-def _is_tied(model: DoseModel) -> bool:
-    """Whether the model's dose curve is tied to zero shift at its heating ambient."""
-    memo = model._memo
-    tied = memo.get("tied")
-    if tied is None:
-        r = model.response
-        tied = memo["tied"] = r.depth_b == r.tied_depth(model.heating.ambient)
-    return tied
+def _shot_limits(model: DoseModel, exposure: float) -> tuple[float, LasingRecipe, float]:
+    """The single-shot ceiling, one default-power shot and that shot's mean
+    shift at this exposure, computed once per model and exposure.
 
-
-def _at_exposure(compute: Callable[[DoseModel, float], _T], model: DoseModel, exposure: float) -> _T:
-    """``compute(model, exposure)``, computed once per model and exposure.
-
-    The value is kept on the model, so a model made by dataclasses.replace
+    The values are kept in the model's own ``__dict__``, as
+    functools.cached_property does, so a model made by dataclasses.replace
     computes its own. The key holds the exposure's type, so an int 60 keeps
-    its own recipe; compute refuses zero, NaN and inf, so no key is ever
-    stored that equal exposures of other bits would share.
+    its own recipe; the ceiling refuses zero, NaN and inf, so no key is ever
+    stored that equal exposures of other bits would share. Both shots have
+    this exposure and no displacement, and 40 mW is below the 49.99 mW
+    ceiling, so the shot computes whenever the ceiling does.
     """
-    memo = model._memo
-    key = (compute, type(exposure), exposure)
-    value = memo.get(key)
-    if value is None:
+    memo = vars(model).setdefault("_shot_limits", {})
+    key = (type(exposure), exposure)
+    limits = memo.get(key)
+    if limits is None:
         if len(memo) >= _MEMO_SIZE:
             memo.clear()
-        value = memo[key] = compute(model, exposure)
-    return value
-
-
-def _plateau(model: DoseModel, exposure: float) -> float:
-    # The mean shift one shot of this exposure approaches as its power grows.
-    r = model.response
-    return r.plateau_m * exposure_factor(exposure, 1, r)
-
-
-def _single_shot_ceiling(model: DoseModel, exposure: float) -> float:
-    ceiling_recipe = LasingRecipe(power=_POWER_CEILING_MW, exposure=exposure)
-    return mean_shift(ceiling_recipe, model)
-
-
-def _full_shot(model: DoseModel, exposure: float) -> tuple[LasingRecipe, float]:
-    # One default-power shot and its mean shift.
-    full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
-    return full, mean_shift(full, model)
+        ceiling = mean_shift(LasingRecipe(power=_POWER_CEILING_MW, exposure=exposure), model)
+        full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
+        limits = memo[key] = (ceiling, full, mean_shift(full, model))
+    return limits
 
 
 def power_for_shift(
@@ -183,17 +160,18 @@ def power_for_shift(
     """
     if target_shift < 0:
         raise DomainError("target shift must be non-negative")
-    if not _is_tied(model):
+    r = model.response
+    if r.depth_b != r.tied_depth(model.heating.ambient):
         raise DomainError("power_for_shift needs depth_b tied to the heating ambient")
     if target_shift == 0.0:
         return 0.0
-    plateau = _at_exposure(_plateau, model, exposure)
+    plateau = r.plateau_m * exposure_factor(exposure, 1, r)
     if target_shift >= plateau:
         raise InfeasibleError(
             f"shift {target_shift:.6g} is at or above the single-shot "
             f"plateau {plateau:.6g}"
         )
-    t0 = model.response.char_temperature_t0
+    t0 = r.char_temperature_t0
     temperature_rise = -t0 * math.log1p(-target_shift / plateau)
     power = temperature_rise / model.heating.slope
     if power > _POWER_CEILING_MW:
@@ -228,12 +206,11 @@ def recipe_for_shift(
         raise DomainError("target shift must be non-negative")
     if target_shift == 0.0:
         return ()
-    ceiling = _at_exposure(_single_shot_ceiling, model, exposure)
+    ceiling, full, per_shot = _shot_limits(model, exposure)
     if target_shift <= ceiling:
         power = power_for_shift(target_shift, model, exposure)
         return (LasingRecipe(power=power, exposure=exposure),)
 
-    full, per_shot = _at_exposure(_full_shot, model, exposure)
     # Count the shots before building any: a tiny exposure needs billions,
     # and one that shifts nothing can never reach the target.
     n_shots = math.inf
@@ -289,7 +266,7 @@ def iterative_tune(
     band = policy.tolerance * f_target
     sigma = policy.measurement_noise_sigma
     exposure = DEFAULT_RECIPE.exposure
-    mu_ceiling = _at_exposure(_single_shot_ceiling, model, exposure)
+    mu_ceiling = _shot_limits(model, exposure)[0]
 
     state = junction
     fused_logs: list[float] = []
@@ -298,6 +275,11 @@ def iterative_tune(
 
     for iteration in range(policy.max_iterations):
         measured = state.resistance * (1.0 + sigma * float(rng.standard_normal()))
+        if measured <= 0.0:
+            raise DomainError(
+                f"measurement noise sigma {sigma:g} gave a non-positive resistance "
+                f"reading of {measured:.6g} ohm"
+            )
         fused_logs.append(math.log(measured))
         r_hat = math.exp(sum(fused_logs) / len(fused_logs))
         inferred = qubit_frequency(r_hat)

@@ -560,6 +560,17 @@ class TestTune:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_resistance_reading_is_input_error(self, tmp_path, capsys):
+        # At sigma 10 the first reading R * (1 + sigma * eps) is negative for seed 3.
+        wpath, ppath = self._setup(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--seed", "3", "--output", str(out), "tune", wpath, ppath,
+                     "--measurement-noise-sigma", "10"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: measurement noise sigma 10 gave a non-positive resistance reading of -"
+        )
+        assert not out.exists()
+
     def test_plan_with_unknown_junction(self, tmp_path, capsys):
         wpath, _ = self._setup(tmp_path)
         plan = {"junctions": [{"id": "W-J9", "f_target_ghz": 5.0}]}
@@ -822,6 +833,15 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,cohort,wafer\n"
                                             "J1,0,7800,annealed,W1\n\nJ1,10,7810,aged,W1\n"),
         "{data}:4: cohort must be 'annealed' or 'unannealed', got 'aged'"),
+    # Rates -ln(P) / wait near 1e304 overflow the defect fit's starting coupling.
+    "tls fit at a vanishing wait": (
+        lambda tmp: _fit_argv(tmp, "tls", "time_h,-2.0,-1.0,0.0,1.0,2.0\n"
+                                          "0.0,0.5,0.5,0.4,0.5,0.5\n1.0,0.5,0.5,0.4,0.5,0.5\n",
+                              "--wait-us", "1e-300"),
+        "the defect model is not finite at the starting point for this map at --wait-us 1e-300"),
+    "tls scan at a vanishing wait": (
+        lambda tmp: _model_argv(tmp, 0.02, "--duration-h", "0.1", "--wait-us", "1e-300"),
+        "the defect model is not finite at the starting point for this map at --wait-us 1e-300"),
 }
 
 

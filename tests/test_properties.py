@@ -1,0 +1,66 @@
+"""Invariants of the twin over drawn inputs, driven through the CLI.
+
+Every junction's random stream is keyed by its id, so its result must not
+depend on which other junctions a run lists, or in what order.
+"""
+
+import json
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import jjtune as jt
+import jjtune.io as jio
+from jjtune.cli import main
+
+
+def _tune(directory: Path, wafer: str, plan_doc: dict) -> dict:
+    """Each junction's trace from ``tune`` on ``plan_doc``, by junction id."""
+    plan = directory / "plan.json"
+    jio.write_json(str(plan), plan_doc)
+    out = directory / "out"
+    with redirect_stdout(StringIO()):
+        assert main(["--seed", "7", "--output", str(out), "tune", wafer, str(plan)]) == 0
+    traces = json.loads((out / "traces.json").read_text())["traces"]
+    return {trace["junction_id"]: trace for trace in traces}
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """A 30-junction wafer planned 20-150 MHz down, its plan and its full tune."""
+    directory = tmp_path_factory.mktemp("campaign")
+    wafer = jt.synthesize_wafer("W", 5, 6, 50.0, 7781.0, 0.01, seed=3)
+    wpath = str(directory / "wafer.json")
+    jio.write_json(wpath, jio.wafer_to_doc(wafer))
+    ids = sorted(j.id for j in wafer.junctions)
+    by_id = {j.id: j for j in wafer.junctions}
+    targets = {
+        jid: (jt.qubit_frequency(by_id[jid].resistance) - (20e6 + 130e6 * k / (len(ids) - 1))) / 1e9
+        for k, jid in enumerate(ids)
+    }
+    tpath = directory / "targets.json"
+    jio.write_json(str(tpath), {"targets_ghz": targets})
+    ppath = directory / "plan.json"
+    with redirect_stdout(StringIO()):
+        assert main(["--output", str(ppath), "plan", wpath, str(tpath)]) == 0
+    plan_doc = json.loads(ppath.read_text())
+    full = _tune(directory / "full", wpath, plan_doc)
+    assert all(trace["n_anneals"] > 0 for trace in full.values())
+    return wpath, plan_doc, full
+
+
+@given(st.data())
+def test_tune_trace_does_not_depend_on_plan_order_or_subset(campaign, data):
+    wpath, plan_doc, full = campaign
+    entries = data.draw(st.permutations(plan_doc["junctions"]))
+    entries = entries[: data.draw(st.integers(1, len(entries)))]
+    with tempfile.TemporaryDirectory() as directory:
+        traces = _tune(Path(directory), wpath, {**plan_doc, "junctions": entries})
+    assert list(traces) == [entry["id"] for entry in entries]
+    for jid, trace in traces.items():
+        assert trace == full[jid], jid

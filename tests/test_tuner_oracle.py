@@ -138,3 +138,15 @@ def test_default_model_matches_on_the_reference_cases():
                         np.random.default_rng(seed)) == _outcome(
             tuner.iterative_tune, junction, target, TunePolicy(), model, np.random.default_rng(seed))
 
+
+
+def test_memo_starts_over_past_its_size_and_still_matches():
+    # More distinct exposures than one model's memo holds, then the first
+    # few again: each is computed afresh after the memo starts over.
+    model = DoseModel()
+    exposures = [1.0 + 0.5 * k for k in range(tuner._MEMO_SIZE + 8)]
+    for exposure in exposures + exposures[:8]:
+        for shift in (0.004, 0.05):
+            _same("recipe_for_shift", shift, model, exposure, 1000)
+            _same("power_for_shift", shift, model, exposure)
+    assert len(vars(model)["_shot_limits"]) < tuner._MEMO_SIZE
