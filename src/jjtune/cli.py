@@ -79,11 +79,13 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     directory = args.output or "."
     doc = jio.batch_report_to_doc(report)
     jio.write_json(os.path.join(directory, "report.json"), doc)
-    jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
-    print(
+    summary = (
         f"{doc['wafer_id']}: {doc['n_junctions']} junctions, {doc['n_passed']} annealed, "
         f"estimated wall time {doc['estimated_wall_time_s']:.0f} s"
     )
+    del doc  # not needed for the CSV; freed before that text is built
+    jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
+    print(summary)
     return 0
 
 
@@ -279,7 +281,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .tuner import TunePolicy
 
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
-    plan = jio.load_json(args.plan)
+    by_id = {j.id: j for j in wafer.junctions}
+    ids, targets = jio.plan_from_doc(jio.load_json(args.plan), by_id)
     seed = _require_seed(args)
     policy = TunePolicy(
         **_given(args, "step_fraction", "tolerance", "max_iterations", "measurement_noise_sigma")
@@ -289,8 +292,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         model = replace(
             model, stochastic=replace(model.stochastic, relative_sigma=args.shot_noise_sigma)
         )
-    by_id = {j.id: j for j in wafer.junctions}
-    ids, targets = jio.plan_from_doc(plan, by_id)
     traces = [
         iterative_tune(
             JunctionState(resistance=by_id[jid].resistance),
@@ -305,9 +306,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     directory = args.output or "."
     doc = jio.traces_to_doc(traces)
     jio.write_json(os.path.join(directory, "traces.json"), doc)
+    summary = doc["summary"]
+    del doc  # not needed for the CSV; freed before that text is built
     if args.format == "csv":
         jio.atomic_write_text(os.path.join(directory, "traces.csv"), jio.traces_csv(traces))
-    summary = doc["summary"]
     print(
         f"tuned {summary['n_junctions']}: {summary['n_converged']} converged, "
         f"{summary['n_overshoot']} overshoot, {summary['n_exhausted']} exhausted "

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Any, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,11 +59,15 @@ __all__ = [
 
 # ---------------------------------------------------------------- writing
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or the pieces of text an iterable yields, to path via a
+    same-directory temp file and rename.
 
-    Creates missing parent directories. A path that cannot be written raises
-    SchemaError naming it, and no temp file is left behind.
+    Pieces go to the file in blocks of about ``_BLOCK`` characters, so text
+    that is generated as it is written is never held whole. Creates missing
+    parent directories. A path that cannot be written raises SchemaError
+    naming it; that, or an exception raised while the pieces are made,
+    leaves the target as it was and no temp file behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
@@ -71,7 +75,7 @@ def atomic_write_text(path: str, text: str) -> None:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else _blocks(text))
         os.replace(tmp, path)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot write ({exc.strerror})")
@@ -80,10 +84,26 @@ def atomic_write_text(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+_BLOCK = 1 << 17  # characters per file write of a streamed text
+
+
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined into blocks of at least ``_BLOCK`` characters (the last may be shorter)."""
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            text, block, size = "".join(block), [], 0
+            yield text
+    yield "".join(block)
+
+
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)  # a non-empty one is nested: indent=2 opens it up
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _CHUNK = 64  # values per C encoder call; larger chunks only raise peak memory
+_BATCH = 256  # flat dicts per C encoder call in lists of them
 
 
 @functools.lru_cache(maxsize=32)
@@ -104,21 +124,65 @@ def _dict_lists(values: Sequence) -> bool:
     dicts = list(itertools.chain.from_iterable(values))
     if set(map(type, dicts)) != {dict} or not all(dicts):
         return False
-    items = list(itertools.chain.from_iterable(map(dict.values, dicts)))
-    return (_SCALAR_TYPES.issuperset(map(type, items))
-            or not any(isinstance(item, _CONTAINERS) and item for item in items))
+
+    def items():  # two passes over the values, without a list as long as all of them
+        return itertools.chain.from_iterable(map(dict.values, dicts))
+
+    return (_SCALAR_TYPES.issuperset(map(type, items()))
+            or not any(isinstance(item, _CONTAINERS) and item for item in items()))
 
 
-def _encode(values: Sequence, depth: int, seen: set) -> list[str]:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for each of ``values``,
-    nested ``depth`` levels deep, encoded one level at a time.
+def _dict_list_pieces(lists: Sequence[Sequence[dict]], depth: int) -> Iterator[Iterable[str]]:
+    """The text of each of ``lists`` of flat dicts, nested ``depth`` levels
+    deep: whole, from one C encoder call for all of them, when they hold at
+    most ``_BATCH`` dicts; else in pieces, one call and one piece per
+    ``_BATCH`` dicts of each list."""
+    pad, inner_pad, dict_pad = _INDENT * depth, _INDENT * (depth + 1), _INDENT * (depth + 2)
+    encoder, dicts = _encoder(depth + 2), "},\n" + dict_pad + "{"
+    head, tail = f"[\n{inner_pad}{{\n{dict_pad}", f"\n{inner_pad}}}\n{pad}]"
+    between = f"\n{inner_pad}}},\n{inner_pad}{{\n{dict_pad}"
+    if sum(map(len, lists)) <= _BATCH:
+        # "[[{" ... "}]]": break the dicts open, then split at the lists.
+        text = encoder.encode(lists)[3:-3].replace(dicts, between)
+        for part in text.split("}],\n" + dict_pad + "[{"):
+            yield (f"{head}{part}{tail}",)
+        return
+    for value in lists:
+        parts = (value[start:start + _BATCH] for start in range(0, len(value), _BATCH))
+        texts = (encoder.encode(part)[2:-2].replace(dicts, between) for part in parts)
+        yield itertools.chain((head + next(texts),), (between + text for text in texts), (tail,))
 
-    Each chunk of values takes one C encoder call: a chunk of lists of flat
-    dicts in full, any other chunk as stubs, each container with its nested
-    values as null. Those nested values, one level down, take one recursion
-    per chunk, and their texts go in at the nulls. Encoded strings never
-    contain a raw newline, so every ",\\n<pad>" in a C encoder's output is an
-    item separator.
+
+def _spliced(pieces: list[str], at: int, end: int, slots: Sequence[int],
+             inner: Iterator[Iterable[str]], separator: str) -> Iterator[str]:
+    """``pieces[at:end]`` joined by separator, with the pieces of the next of
+    ``inner`` in place of the last null in each of ``slots``. A nested
+    value given whole, as a 1-tuple, goes into its piece."""
+    for slot in slots:
+        nested = next(inner)
+        head, _, tail = pieces[slot].rpartition("null")
+        if type(nested) is tuple:
+            pieces[slot] = f"{head}{nested[0]}{tail}"
+            continue
+        pieces[slot] = head
+        yield separator.join(pieces[at:slot + 1])
+        yield from nested
+        pieces[slot], at = tail, slot
+    yield separator.join(pieces[at:end])
+
+
+def _encode(values: Sequence, depth: int, seen: set) -> Iterator[Iterable[str]]:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for each of
+    ``values``, nested ``depth`` levels deep, encoded one level at a time:
+    a 1-tuple of the whole text, or an iterator of its pieces, made as they
+    are asked for, to be used up before the next value is asked for.
+
+    A chunk of values that are lists of flat dicts takes one C encoder call
+    per ``_BATCH`` dicts. Any other chunk of values takes one call over
+    stubs, each container with its nested values as null. Those nested
+    values, one level down, take one recursion per chunk, and their texts or
+    pieces go in at the nulls. Encoded strings never contain a raw newline,
+    so every ",\\n<pad>" in a C encoder's output is an item separator.
 
     ``seen`` holds the id of each container met that holds a nested value.
     One met again is shared or on a cycle; the C encoder's own check on it
@@ -126,23 +190,18 @@ def _encode(values: Sequence, depth: int, seen: set) -> list[str]:
     """
     pad, inner_pad = _INDENT * depth, _INDENT * (depth + 1)
     separator = ",\n" + inner_pad
-    texts = []
     for start in range(0, len(values), _CHUNK):
         chunk = values[start:start + _CHUNK]
         if _dict_lists(chunk):
-            # "[[{" ... "}]]": break the dicts open, then split at the lists.
-            dict_pad = _INDENT * (depth + 2)
-            text = _encoder(depth + 2).encode(chunk)[3:-3].replace(
-                "},\n" + dict_pad + "{", f"\n{inner_pad}}},\n{inner_pad}{{\n{dict_pad}")
-            texts += (f"[\n{inner_pad}{{\n{dict_pad}{part}\n{inner_pad}}}\n{pad}]"
-                      for part in text.split("}],\n" + dict_pad + "[{"))
+            yield from _dict_list_pieces(chunk, depth)
             continue
-        # (first piece, item count) per value; a scalar or an empty container is one piece.
-        stubs, spans, slots, nested = [], [], [], []
+        # (first piece, item count, slots of nested values) per value; a scalar
+        # or an empty container is one piece.
+        stubs, spans, nested = [], [], []
         at = 0
         for value in chunk:
             size = len(value) if isinstance(value, _CONTAINERS) else 0
-            stub = value
+            stub, slots = value, []
             items = value.values() if isinstance(value, dict) else value
             if size and not _SCALAR_TYPES.issuperset(map(type, items)):
                 keys = sorted(value) if isinstance(value, dict) else range(size)
@@ -158,30 +217,37 @@ def _encode(values: Sequence, depth: int, seen: set) -> list[str]:
                         slots.append(slot)
                         nested.append(item)
             stubs.append(stub)
-            spans.append((at, size))
+            spans.append((at, size, slots))
             at += size or 1
         pieces = _encoder(depth + 1).encode(stubs)[1:-1].split(separator)
-        for at, size in spans:
+        inner = _encode(nested, depth + 1, seen)
+        for at, size, slots in spans:
+            end = at + (size or 1)
             if size:  # the brackets, while the end pieces are short
                 first = pieces[at]
                 pieces[at] = f"{first[0]}\n{inner_pad}{first[1:]}"
-                last = pieces[at + size - 1]
-                pieces[at + size - 1] = f"{last[:-1]}\n{pad}{last[-1]}"
-        inner = _encode(nested, depth + 1, seen)
-        for slot in reversed(slots):
-            head, _, tail = pieces[slot].rpartition("null")
-            pieces[slot] = f"{head}{inner.pop()}{tail}"
-        texts += (separator.join(pieces[at:at + (size or 1)]) for at, size in spans)
-    return texts
+                last = pieces[end - 1]
+                pieces[end - 1] = f"{last[:-1]}\n{pad}{last[-1]}"
+            if slots:
+                yield _spliced(pieces, at, end, slots, inner, separator)
+            else:
+                yield (separator.join(pieces[at:end]),)
+
+
+def _json_pieces(doc: Any) -> Iterator[str]:
+    """``json_text(doc)`` in pieces, made as they are asked for."""
+    yield from next(_encode([doc], 0, set()))
+    yield "\n"
 
 
 def json_text(doc: Any) -> str:
     """Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, mostly in C."""
-    return _encode([doc], 0, set())[0] + "\n"
+    return "".join(_json_pieces(doc))
 
 
-def write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json_text(doc))
+def write_json(path: str, doc: Any) -> None:
+    """``json_text(doc)`` written to path atomically, a block at a time as it is encoded."""
+    atomic_write_text(path, _json_pieces(doc))
 
 
 @contextlib.contextmanager

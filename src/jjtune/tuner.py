@@ -34,7 +34,7 @@ from .dose import (
     mean_shift,
 )
 from .errors import DomainError, InfeasibleError
-from .physics import qubit_frequency, resistance_for_frequency
+from .physics import max_resistance, qubit_frequency, resistance_for_frequency
 
 __all__ = [
     "TunePolicy",
@@ -282,7 +282,13 @@ def iterative_tune(
             )
         fused_logs.append(math.log(measured))
         r_hat = math.exp(sum(fused_logs) / len(fused_logs))
-        inferred = qubit_frequency(r_hat)
+        try:
+            inferred = qubit_frequency(r_hat)
+        except DomainError:  # r_hat is positive, so it lies at or past the zero-frequency bound
+            raise DomainError(
+                f"fused resistance estimate {r_hat:.6g} ohm at measurement noise sigma {sigma:g} "
+                f"is at or beyond the zero-frequency bound {max_resistance():.6g} ohm"
+            ) from None
 
         if abs(inferred - f_target) <= band:
             rows.append(TuneIteration(measured, inferred, None, None))

@@ -571,6 +571,18 @@ class TestTune:
         )
         assert not out.exists()
 
+    def test_noisy_estimate_past_zero_frequency_bound_names_the_noise(self, tmp_path, capsys):
+        # At sigma 1000 the fused estimate of seed 8 lies past the zero-frequency bound.
+        wpath, ppath = self._setup(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--seed", "8", "--output", str(out), "tune", wpath, ppath,
+                     "--measurement-noise-sigma", "1000"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: fused resistance estimate 6.21889e+06 ohm at measurement noise "
+            "sigma 1000 is at or beyond the zero-frequency bound 3.85839e+06 ohm\n"
+        )
+        assert not out.exists()
+
     def test_plan_with_unknown_junction(self, tmp_path, capsys):
         wpath, _ = self._setup(tmp_path)
         plan = {"junctions": [{"id": "W-J9", "f_target_ghz": 5.0}]}

@@ -64,3 +64,41 @@ def test_tune_trace_does_not_depend_on_plan_order_or_subset(campaign, data):
     assert list(traces) == [entry["id"] for entry in entries]
     for jid, trace in traces.items():
         assert trace == full[jid], jid
+
+
+def _simulate(directory: Path, wafer_doc: dict, recipe: str) -> dict:
+    """Each junction's row from ``simulate-wafer`` on ``wafer_doc``, by id:
+    the report.json entry and the report.csv line."""
+    wafer = directory / "wafer.json"
+    jio.write_json(str(wafer), wafer_doc)
+    out = directory / "out"
+    with redirect_stdout(StringIO()):
+        assert main(["--seed", "11", "--output", str(out), "simulate-wafer", str(wafer), recipe]) == 0
+    entries = json.loads((out / "report.json").read_text())["junctions"]
+    lines = (out / "report.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [entry["id"] for entry in entries]
+    return {entry["id"]: (entry, line) for entry, line in zip(entries, lines)}
+
+
+@pytest.fixture(scope="module")
+def batch(tmp_path_factory):
+    """A 6x7 wafer, its recipe file and its full simulate-wafer rows."""
+    directory = tmp_path_factory.mktemp("batch")
+    wafer_doc = jio.wafer_to_doc(jt.synthesize_wafer("W", 6, 7, 50.0, 7781.0, 0.01, seed=5))
+    recipe = directory / "recipe.json"
+    jio.write_json(str(recipe), jio.recipe_to_doc(jt.DEFAULT_RECIPE))
+    full = _simulate(directory / "full", wafer_doc, str(recipe))
+    assert {entry["qc_status"] for entry, _ in full.values()} == {"passed", "excluded"}
+    return wafer_doc, str(recipe), full
+
+
+@given(st.data())
+def test_simulate_wafer_row_does_not_depend_on_the_other_junctions(batch, data):
+    wafer_doc, recipe, full = batch
+    junctions = data.draw(st.permutations(wafer_doc["junctions"]))
+    junctions = junctions[: data.draw(st.integers(1, len(junctions)))]
+    with tempfile.TemporaryDirectory() as directory:
+        rows = _simulate(Path(directory), {**wafer_doc, "junctions": junctions}, recipe)
+    assert sorted(rows) == sorted(junction["id"] for junction in junctions)
+    for jid, row in rows.items():
+        assert row == full[jid], jid
