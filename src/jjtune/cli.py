@@ -51,6 +51,7 @@ required_shift = _on_call("tuner", "required_shift")
 recipe_for_shift = _on_call("tuner", "recipe_for_shift")
 iterative_tune = _on_call("tuner", "iterative_tune")
 qubit_frequency = _on_call("physics", "qubit_frequency")
+max_resistance = _on_call("physics", "max_resistance")
 simulate_map = _on_call("tls", "simulate_map")
 time_average = _on_call("tls", "time_average")
 extract_tls = _on_call("tls", "extract_tls")
@@ -154,6 +155,9 @@ def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
     rows = jio.read_columns_csv(path, ["thickness_nm", "area_um2", "resistance_ohm"])
     thickness = np.array([row[0] for row in rows])
+    if np.unique(thickness).size < 2:
+        raise SchemaError(f"{path}: need at least 2 distinct values in column 'thickness_nm' "
+                          "to fit barrier")
     resistance_area = np.array([row[1] * row[2] for row in rows])
 
     def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -241,6 +245,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- plan
 
+def _refuse_zero_frequency(junctions) -> None:
+    """Refuse a junction at or past the zero-frequency bound, which has no
+    qubit frequency to plan or tune from (exit 2). The wafer format itself
+    accepts it: ``simulate-wafer`` needs no frequency."""
+    bound = max_resistance()
+    for junction in junctions:
+        if not junction.resistance < bound:
+            raise SchemaError(
+                f"wafer junction {junction.id!r}: resistance_ohm {junction.resistance:.6g} "
+                f"is at or beyond the zero-frequency bound {bound:.6g} ohm"
+            )
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .tuner import allocate_targets
 
@@ -249,6 +266,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     targets, spacing = jio.targets_from_doc(
         jio.load_json(args.targets), [j.id for j in junctions]
     )
+    _refuse_zero_frequency(junctions)
     freqs = [qubit_frequency(j.resistance) for j in junctions]
     if targets is None:
         targets = allocate_targets(freqs, spacing)
@@ -283,6 +301,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     by_id = {j.id: j for j in wafer.junctions}
     ids, targets = jio.plan_from_doc(jio.load_json(args.plan), by_id)
+    _refuse_zero_frequency(by_id[jid] for jid in ids)
     seed = _require_seed(args)
     policy = TunePolicy(
         **_given(args, "step_fraction", "tolerance", "max_iterations", "measurement_noise_sigma")

@@ -11,7 +11,10 @@ lands exactly on the current point (the step vanished under clamping or
 float resolution) is rejected without running the model.
 
 Every nonlinear fit in the package (dose plateau, aging, Lorentzian defect,
-Stark conversion, barrier thickness) goes through ``fit_curve``.
+Stark conversion, barrier thickness) goes through ``fit_curve``, with one
+configuration: at most 200 iterations, a relative step tolerance of 1e-10,
+damping starting at 1e-3 and multiplied or divided by 10 per rung, and an
+eigenvalue cutoff of 1e-12 for the covariance.
 """
 
 from __future__ import annotations
@@ -24,10 +27,16 @@ import numpy as np
 
 from .errors import DomainError, FitEvaluationError
 
-__all__ = ["ModelSpec", "Dataset", "FitOptions", "FitResult", "fit_curve"]
+__all__ = ["ModelSpec", "Dataset", "FitResult", "fit_curve"]
 
 _EPS_STEP = float(np.sqrt(np.finfo(float).eps))
 _DAMPING_MAX = 1e14     # rungs at or above this are not tried
+_MAX_ITERATIONS = 200
+_TOLERANCE = 1e-10      # relative parameter step for convergence
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 10.0
+_RCOND = 1e-12          # eigenvalue cutoff for the covariance
 
 
 @dataclass(frozen=True)
@@ -35,58 +44,28 @@ class ModelSpec:
     """A parametric model y = evaluator(params, inputs).
 
     evaluator must be vectorized over inputs and must not mutate its
-    arguments. bounds, when given, is one (lo, hi) pair per parameter; use
-    None (or -inf/inf) for open sides.
+    arguments. bounds is one (lo, hi) pair per parameter; use -inf/inf for
+    open sides.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     parameter_names: tuple[str, ...]
-    bounds: tuple[tuple[float | None, float | None], ...] | None = None
+    bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.bounds is not None:
-            if len(self.bounds) != len(self.parameter_names):
-                raise DomainError("one bounds pair required per parameter")
-            for lo, hi in self.bounds:
-                lo = -np.inf if lo is None else lo
-                hi = np.inf if hi is None else hi
-                if not lo < hi:
-                    raise DomainError(f"empty bounds interval ({lo}, {hi})")
+        if len(self.bounds) != len(self.parameter_names):
+            raise DomainError("one bounds pair required per parameter")
+        for lo, hi in self.bounds:
+            if not lo < hi:
+                raise DomainError(f"empty bounds interval ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations y at inputs x, with optional per-point weights (1/sigma)."""
+    """Observations y at inputs x."""
 
     inputs: np.ndarray
     observations: np.ndarray
-    weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    tolerance: float = 1e-10        # relative parameter step for convergence
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    rcond: float = 1e-12            # eigenvalue cutoff for the covariance
-
-    def __post_init__(self) -> None:
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise DomainError(f"max_iterations must be an integer >= 0, got {n!r}")
-        for name, low, strict in (
-            ("tolerance", 0.0, False),
-            ("damping_init", 0.0, True),
-            ("damping_up", 1.0, True),
-            ("damping_down", 0.0, True),
-            ("rcond", 0.0, False),
-        ):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and (v > low if strict else v >= low)):
-                op = ">" if strict else ">="
-                raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +127,7 @@ def _damped_steps(
         lam *= up
 
 
-def _covariance_std(jtj: np.ndarray, s2: float, rcond: float) -> np.ndarray:
+def _covariance_std(jtj: np.ndarray, s2: float) -> np.ndarray:
     """Per-parameter standard errors from the normal matrix.
 
     Directions with (near-)zero curvature carry no information; parameters
@@ -159,7 +138,7 @@ def _covariance_std(jtj: np.ndarray, s2: float, rcond: float) -> np.ndarray:
     wmax = float(w.max()) if w.size else 0.0
     if wmax <= 0.0:
         return np.full(jtj.shape[0], np.inf)
-    ok = w > rcond * wmax
+    ok = w > _RCOND * wmax
     std = np.empty(jtj.shape[0])
     for j in range(jtj.shape[0]):
         if np.any(np.abs(v[j, ~ok]) > 1e-8):
@@ -169,18 +148,16 @@ def _covariance_std(jtj: np.ndarray, s2: float, rcond: float) -> np.ndarray:
     return std
 
 
-def fit_curve(
-    model: ModelSpec,
-    data: Dataset,
-    p0: Sequence[float],
-    options: FitOptions = FitOptions(),
-) -> FitResult:
+def fit_curve(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult:
     """Fit model parameters to data by damped least squares.
 
     Starts from p0 (clamped into bounds), accepts only cost-reducing steps,
     and reports convergence when an accepted step moves every parameter by
-    less than ``options.tolerance`` in relative terms. The returned residual
-    norm is never worse than at the initial point.
+    less than 1e-10 in relative terms, within at most 200 iterations. The
+    damping starts at 1e-3 and is multiplied by 10 per rejected rung and
+    divided by 10 after an accepted step; the covariance drops eigenvalues
+    below 1e-12 of the largest. The returned residual norm is never worse
+    than at the initial point.
 
     A non-finite model value raises ``FitEvaluationError``; its ``fit`` is
     the fit at the last accepted point (termination "non_finite"), or None
@@ -188,22 +165,20 @@ def fit_curve(
     the whole fit, since the fit checks every model value itself.
     """
     with np.errstate(all="ignore"):
-        return _fit(model, data, p0, options)
+        return _fit(model, data, p0)
 
 
-def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float], options: FitOptions) -> FitResult:
+def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult:
     x = np.asarray(data.inputs, dtype=float)
     y = np.asarray(data.observations, dtype=float)
-    w = None if data.weights is None else np.asarray(data.weights, dtype=float)
     n = y.size
     p = np.asarray(list(p0), dtype=float)
     if p.size != len(model.parameter_names):
         raise DomainError(
             f"expected {len(model.parameter_names)} initial parameters, got {p.size}"
         )
-    bounds = model.bounds or ((None, None),) * p.size
-    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
-    hi = np.array([np.inf if b is None else b for _, b in bounds])
+    lo = np.array([b for b, _ in model.bounds], dtype=float)
+    hi = np.array([b for _, b in model.bounds], dtype=float)
 
     def clamp(pv: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(pv, lo), hi)
@@ -214,33 +189,28 @@ def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float], options: FitOptio
 
     def evaluate(pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = _evaluate(model, pv, x)
-        r = y - f
-        return f, (r if w is None else w * r)
-
-    def jacobian(pv: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        jac = _jacobian(model, pv, x, fv)
-        return jac if w is None else jac * w[:, None]
+        return f, y - f
 
     # f0 is the model at p, kept from the evaluation that produced r.
     f0, r = evaluate(p)
     cost = float(r @ r)
-    lam = options.damping_init
+    lam = _DAMPING_INIT
     termination = "max_iterations"
     iterations = 0
     jac = None
 
     error = None
     try:
-        for _ in range(options.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             iterations += 1
-            jac = jacobian(p, f0)
+            jac = _jacobian(model, p, x, f0)
             jtj = jac.T @ jac
             grad = jac.T @ r
             diag = np.diag(jtj).copy()
             diag[diag <= 0.0] = 1.0
 
             here = p.tobytes()
-            for rung, step in _damped_steps(jtj, grad, diag, lam, options.damping_up):
+            for rung, step in _damped_steps(jtj, grad, diag, lam, _DAMPING_UP):
                 trial = clamp(p + step)
                 if trial.tobytes() == here:
                     continue  # same point, same cost: not an improvement
@@ -249,25 +219,22 @@ def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float], options: FitOptio
                 if cost_trial < cost:
                     rel = float(np.max(np.abs(trial - p) / (np.abs(p) + 1e-300)))
                     p, f0, r, cost = trial, f_trial, r_trial, cost_trial
-                    lam = max(rung / options.damping_down, 1e-15)
+                    lam = max(rung / _DAMPING_DOWN, 1e-15)
                     break
             else:
                 # Damping exhausted: stationary within numerical resolution.
                 termination = "stalled"
                 break
-            if rel < options.tolerance:
+            if rel < _TOLERANCE:
                 termination = "step_tolerance"
                 break
-
-        if jac is None:  # max_iterations == 0 guard; report at the initial point
-            jac = jacobian(p, f0)
     except FitEvaluationError as exc:  # the fit so far travels on the error
         error, termination = exc, "non_finite"
 
     dof = n - p.size
     s2 = cost / dof if dof > 0 else np.inf
     std = (np.full(p.size, np.inf) if jac is None  # the Jacobian at the start was not finite
-           else _covariance_std(jac.T @ jac, s2, options.rcond))
+           else _covariance_std(jac.T @ jac, s2))
     fit = FitResult(
         params=p,
         std_errors=std,

@@ -13,9 +13,27 @@ from typing import Sequence
 import numpy as np
 
 from jjtune.errors import DomainError, FitEvaluationError
-from jjtune.fitkit import Dataset, FitOptions, ModelSpec
+from jjtune.fitkit import ModelSpec
 
 _EPS_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+# The original fit configuration and data types, frozen with the loop.
+@dataclass(frozen=True)
+class Dataset:
+    inputs: np.ndarray
+    observations: np.ndarray
+    weights: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class FitOptions:
+    max_iterations: int = 200
+    tolerance: float = 1e-10
+    damping_init: float = 1e-3
+    damping_up: float = 10.0
+    damping_down: float = 10.0
+    rcond: float = 1e-12
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,26 @@ class TestPlan:
             assert entry["shots"] == []
             assert entry["f_target_ghz"] == entry["f_now_ghz"]
 
+    def test_junction_past_the_zero_frequency_bound_is_named(self, tmp_path, capsys):
+        junctions = (
+            jt.JunctionRecord(id="W-J0", design_xy=(0.0, 0.0), area=0.1, resistance=7781.0),
+            jt.JunctionRecord(id="W-J1", design_xy=(50.0, 0.0), area=0.1, resistance=5e6),
+        )
+        wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=2, pitch=50.0, junctions=junctions)
+        wpath = write_wafer(tmp_path, wafer)
+        tpath = tmp_path / "targets.json"
+        jio.write_json(str(tpath), {"min_spacing_mhz": 50.0})
+        out = tmp_path / "plan.json"
+        assert main(["--output", str(out), "plan", wpath, str(tpath)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: wafer junction 'W-J1': resistance_ohm 5e+06 is at or beyond "
+            "the zero-frequency bound 3.85839e+06 ohm\n"
+        )
+        assert not out.exists()
+        # The wafer itself is valid: simulating its anneal needs no frequency.
+        assert main(["--seed", "0", "--output", str(tmp_path / "sim"), "simulate-wafer", wpath,
+                     write_recipe(tmp_path)]) == 0
+
     def test_explicit_target_94mhz(self, tmp_path):
         wpath, wafer = self._spread_wafer(tmp_path)
         f0 = jt.qubit_frequency(7781.0)
@@ -583,6 +603,25 @@ class TestTune:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", [[], ["--measurement-noise-sigma", "0"]])
+    def test_junction_past_the_zero_frequency_bound_is_named(self, tmp_path, capsys, noise):
+        junctions = (
+            jt.JunctionRecord(id="W-J0", design_xy=(0.0, 0.0), area=0.1, resistance=7781.0),
+            jt.JunctionRecord(id="W-J1", design_xy=(50.0, 0.0), area=0.1, resistance=5e6),
+        )
+        wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=2, pitch=50.0, junctions=junctions)
+        wpath = write_wafer(tmp_path, wafer)
+        ppath = tmp_path / "plan.json"
+        jio.write_json(str(ppath), {"junctions": [{"id": "W-J0", "f_target_ghz": 5.0},
+                                                  {"id": "W-J1", "f_target_ghz": 5.0}]})
+        out = tmp_path / "out"
+        assert main(["--seed", "3", "--output", str(out), "tune", wpath, str(ppath), *noise]) == 2
+        assert capsys.readouterr().err == (
+            "input error: wafer junction 'W-J1': resistance_ohm 5e+06 is at or beyond "
+            "the zero-frequency bound 3.85839e+06 ohm\n"
+        )
+        assert not out.exists()
+
     def test_plan_with_unknown_junction(self, tmp_path, capsys):
         wpath, _ = self._setup(tmp_path)
         plan = {"junctions": [{"id": "W-J9", "f_target_ghz": 5.0}]}
@@ -832,6 +871,15 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
                                               "1.0,0.1,20000\n1.5,0.1,45000\n2.0,0,100000\n"),
         "{data}:4: column 'area_um2' must be positive, got 0.0"),
+    # The log-linear seed needs a slope: refused before numpy's RankWarning.
+    "one barrier row": (
+        lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                              "1.5,0.1,20000\n"),
+        "{data}: need at least 2 distinct values in column 'thickness_nm' to fit barrier"),
+    "constant barrier thickness": (
+        lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
+                                              "1.5,0.1,20000\n1.5,0.1,45000\n1.5,0.1,100000\n"),
+        "{data}: need at least 2 distinct values in column 'thickness_nm' to fit barrier"),
     # A blank line counts: the message names the cell's line in the file.
     "empty dose cell after a blank line": (
         lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n10,0.01\n\n20,\n"),

@@ -72,7 +72,7 @@ def test_exposure_sweep_recovers_saturation_scale():
     spec = ModelSpec(
         lambda p, x: p[0] * -np.expm1(-x / p[1]),
         ("ceiling", "u0"),
-        bounds=((1e-9, None), (1e-6, None)),
+        bounds=((1e-9, np.inf), (1e-6, np.inf)),
     )
     fit = fit_curve(spec, Dataset(exposures, shifts), [shifts[-1], 1.0])
     assert fit.converged

@@ -1,10 +1,13 @@
 """Invariants of the twin over drawn inputs, driven through the CLI.
 
 Every junction's random stream is keyed by its id, so its result must not
-depend on which other junctions a run lists, or in what order.
+depend on which other junctions a run lists, or in what order. A plan's
+shots compose to the shift it asks for, and a noise-free tune never
+overshoots its target.
 """
 
 import json
+import math
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -102,3 +105,63 @@ def test_simulate_wafer_row_does_not_depend_on_the_other_junctions(batch, data):
     assert sorted(rows) == sorted(junction["id"] for junction in junctions)
     for jid, row in rows.items():
         assert row == full[jid], jid
+
+
+# Up to six junctions 6-9 kohm (6.7-5.4 GHz), each with a target 0-300 MHz
+# below its frequency: every such plan fits the default 16-shot budget.
+_junction_targets = st.lists(
+    st.tuples(st.floats(6000.0, 9000.0), st.floats(0.0, 300e6)), min_size=1, max_size=6
+)
+
+
+def _drawn_wafer(directory: Path, draws: list) -> tuple[str, dict]:
+    """The wafer file of ``draws`` (resistance, downshift) and each id's target in GHz."""
+    junctions = tuple(
+        jt.JunctionRecord(id=f"W-J{k}", design_xy=(50.0 * k, 0.0), area=0.1, resistance=r)
+        for k, (r, _) in enumerate(draws)
+    )
+    wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=len(draws), pitch=50.0, junctions=junctions)
+    wpath = str(directory / "wafer.json")
+    jio.write_json(wpath, jio.wafer_to_doc(wafer))
+    targets = {
+        j.id: (jt.qubit_frequency(j.resistance) - down) / 1e9
+        for j, (_, down) in zip(junctions, draws)
+    }
+    return wpath, targets
+
+
+@given(_junction_targets)
+def test_plan_shots_compose_to_the_required_shift(draws):
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        wpath, targets = _drawn_wafer(directory, draws)
+        tpath = directory / "targets.json"
+        jio.write_json(str(tpath), {"targets_ghz": targets})
+        ppath = directory / "plan.json"
+        with redirect_stdout(StringIO()):
+            assert main(["--output", str(ppath), "plan", wpath, str(tpath)]) == 0
+        entries = json.loads(ppath.read_text())["junctions"]
+    assert len(entries) == len(draws)
+    for entry in entries:
+        recipes = [jio.recipe_from_doc(shot) for shot in entry["shots"]]
+        composed = math.prod(1.0 + jt.mean_shift(recipe) for recipe in recipes) - 1.0
+        assert abs(composed - entry["required_shift_frac"]) <= 1e-12, entry["id"]
+
+
+@given(_junction_targets)
+def test_noise_free_tune_never_overshoots(draws):
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        wpath, targets = _drawn_wafer(directory, draws)
+        plan = directory / "plan.json"
+        jio.write_json(str(plan), {"junctions": [
+            {"id": jid, "f_target_ghz": target} for jid, target in targets.items()
+        ]})
+        out = directory / "out"
+        with redirect_stdout(StringIO()):
+            assert main(["--seed", "0", "--output", str(out), "tune", wpath, str(plan),
+                         "--measurement-noise-sigma", "0", "--shot-noise-sigma", "0"]) == 0
+        traces = json.loads((out / "traces.json").read_text())["traces"]
+    assert len(traces) == len(draws)
+    for trace in traces:
+        assert trace["outcome"] != "overshoot", trace["junction_id"]
