@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import jjtune as jt
-from jjtune.errors import DomainError, FitEvaluationError
 from jjtune import fitkit
+from jjtune.errors import DomainError, FitEvaluationError
 from jjtune.fitkit import Dataset, ModelSpec, fit_curve
 
 
@@ -63,7 +63,8 @@ def test_each_iteration_reuses_the_accepted_evaluation():
 
     x = np.linspace(0.0, 30.0, 12)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
-    fit = fit_curve(ModelSpec(counting, ("a", "b", "tau"), (OPEN,) * 3), Dataset(x, y), [0.3, 0.3, 5.0])
+    spec = ModelSpec(counting, ("a", "b", "tau"), (OPEN,) * 3)
+    fit = fit_curve(spec, Dataset(x, y), [0.3, 0.3, 5.0])
     assert fit.converged
     assert len(calls) == 1 + fit.iterations * 4
     assert len(set(calls)) == len(calls)

@@ -120,7 +120,8 @@ def _drawn_wafer(directory: Path, draws: list) -> tuple[str, dict]:
         jt.JunctionRecord(id=f"W-J{k}", design_xy=(50.0 * k, 0.0), area=0.1, resistance=r)
         for k, (r, _) in enumerate(draws)
     )
-    wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=len(draws), pitch=50.0, junctions=junctions)
+    wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=len(draws), pitch=50.0,
+                           junctions=junctions)
     wpath = str(directory / "wafer.json")
     jio.write_json(wpath, jio.wafer_to_doc(wafer))
     targets = {
