@@ -130,7 +130,8 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     order = np.argsort(t, kind="stable")
     t, y = t[order], y[order]
     span = float(t.max() - t.min())
-    p0 = [y[-1], y[-1] - y[0], span / 3.0]
+    first, last = float(y[0]), float(y[-1])  # inf - inf is nan here, with no numpy warning
+    p0 = [last, last - first, span / 3.0]
     return fit_curve(_AGING_SPEC, Dataset(inputs=t, observations=y), p0)
 
 

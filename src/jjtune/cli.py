@@ -103,11 +103,21 @@ def _fit_or_partial(fitter, *args) -> FitResult:
         return exc.fit
 
 
+def _fit_rows(path: str, columns: list[str], kind: str) -> tuple[np.ndarray, list]:
+    """The fit CSV's rows and its first column, which must hold at least 2
+    distinct values (exit 2): one value identifies no curve along it."""
+    rows = jio.read_columns_csv(path, columns)
+    inputs = np.array([row[0] for row in rows])
+    if np.unique(inputs).size < 2:
+        raise SchemaError(f"{path}: need at least 2 distinct values in column '{columns[0]}' "
+                          f"to fit {kind}")
+    return inputs, rows
+
+
 def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    rows = jio.read_columns_csv(path, ["power_mw", "shift_frac"])
-    powers = np.array([row[0] for row in rows])
+    powers, rows = _fit_rows(path, ["power_mw", "shift_frac"], "dose")
     shifts = np.array([row[1] for row in rows])
     heating = default_dose_model().heating
 
@@ -129,8 +139,7 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .dose import absorption_fraction
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    rows = jio.read_columns_csv(path, ["displacement_um", "response_frac"])
-    displacement = np.array([row[0] for row in rows])
+    displacement, rows = _fit_rows(path, ["displacement_um", "response_frac"], "displacement")
     response = np.array([row[1] for row in rows])
     beam = default_dose_model().beam
 
@@ -153,11 +162,7 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    rows = jio.read_columns_csv(path, ["thickness_nm", "area_um2", "resistance_ohm"])
-    thickness = np.array([row[0] for row in rows])
-    if np.unique(thickness).size < 2:
-        raise SchemaError(f"{path}: need at least 2 distinct values in column 'thickness_nm' "
-                          "to fit barrier")
+    thickness, rows = _fit_rows(path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
     resistance_area = np.array([row[1] * row[2] for row in rows])
 
     def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -161,8 +161,10 @@ def fit_curve(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult
 
     A non-finite model value raises ``FitEvaluationError``; its ``fit`` is
     the fit at the last accepted point (termination "non_finite"), or None
-    at the starting point. Numpy's floating-point warnings are silenced for
-    the whole fit, since the fit checks every model value itself.
+    at the starting point. A sum of squared residuals that overflows at the
+    starting point raises ``DomainError``, since no step could lower it.
+    Numpy's floating-point warnings are silenced for the whole fit, since the
+    fit checks every model value itself.
     """
     with np.errstate(all="ignore"):
         return _fit(model, data, p0)
@@ -194,6 +196,8 @@ def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult:
     # f0 is the model at p, kept from the evaluation that produced r.
     f0, r = evaluate(p)
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise DomainError("the sum of squared residuals overflows at the starting point")
     lam = _DAMPING_INIT
     termination = "max_iterations"
     iterations = 0

@@ -738,18 +738,21 @@ def targets_from_doc(
 def plan_from_doc(doc: dict, junction_ids: Container[str]) -> tuple[list[str], list[float]]:
     """Ids and target frequencies (Hz) of a plan's junctions, in document order.
 
-    Every id must be one of ``junction_ids``.
+    Every id must be one of ``junction_ids``, listed once.
     """
     try:
         raw_entries = _need(doc, "junctions", list, "plan")
     except SchemaError:
         raise SchemaError("plan.junctions: missing or not a list") from None
-    ids, targets = [], []
+    ids, targets, seen = [], [], set()
     for index, entry in enumerate(raw_entries):
         path = f"plan.junctions[{index}]"
         jid = _need(entry, "id", str, path)
         if jid not in junction_ids:
             raise SchemaError(f"{path}.id: junction {jid!r} is not on the wafer")
+        if jid in seen:
+            raise SchemaError(f"{path}.id: junction {jid!r} is listed twice")
+        seen.add(jid)
         ids.append(jid)
         targets.append(_need(entry, "f_target_ghz", float, path) * 1e9)
     return ids, targets

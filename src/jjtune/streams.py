@@ -19,7 +19,6 @@ generator's ``(state, inc)``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import operator
 from typing import Iterator, Sequence
@@ -77,7 +76,6 @@ _GEN = _hash_consts(_INIT_B, _MULT_B, 8)[:, None]
 _GEN_XOR, _GEN_MUL = _GEN[:-1], _GEN[1:]
 
 
-@functools.lru_cache(maxsize=8)
 def _seed_pool(master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SeedSequence's pool before the spawn key, and the key steps' constants.
 
@@ -96,10 +94,7 @@ def _seed_pool(master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     consts = _hash_consts(start, _MULT_A, _POOL_SIZE * _POOL_SIZE)
     shape = (_POOL_SIZE, _POOL_SIZE, 1)
     pool = np.random.SeedSequence(seed).pool.reshape(_POOL_SIZE, 1)
-    result = pool, consts[:-1].reshape(shape), consts[1:].reshape(shape)
-    for array in result:  # cached and shared by every caller
-        array.setflags(write=False)
-    return result
+    return pool, consts[:-1].reshape(shape), consts[1:].reshape(shape)
 
 
 def stream_states(master_seed: int, stream_ids: Sequence[str]) -> list[tuple[int, int]]:

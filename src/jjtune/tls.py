@@ -285,7 +285,7 @@ def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
 
     spec = ModelSpec(evaluator=model, parameter_names=("conv_a",), bounds=((1e3, np.inf),))
     top = int(np.argmax(np.abs(shifts)))
-    reach = abs(shifts[top]) + _TONE_DETUNING
+    reach = abs(float(shifts[top])) + _TONE_DETUNING  # overflows to inf without a numpy warning
     a0 = math.sqrt(max(reach * reach - _TONE_DETUNING * _TONE_DETUNING, 1e6)) / max(amps[top], 1e-9)
     return fit_curve(spec, Dataset(inputs=amps, observations=shifts), [a0])
 

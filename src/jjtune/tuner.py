@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
@@ -55,8 +55,6 @@ _POWER_CEILING_MW = 49.99
 _MAX_PLAN_SHOTS = 10_000
 # Frequencies an infeasible spacing's message lists before it gives the count.
 _CHAIN_SHOWN = 5
-# Entries a model's memo holds before it starts over.
-_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class TunePolicy:
 
     guard_fraction places the aim point at target * (1 + guard * tolerance):
     0 aims at the band center, values toward 1 hug the upper band edge. The
-    default 0.6 keeps measurement noise from reading a converged junction as
+    fixed 0.6 keeps measurement noise from reading a converged junction as
     an overshoot while still converging in 2-3 shots.
     """
 
@@ -73,10 +71,10 @@ class TunePolicy:
     tolerance: float = 0.0025
     max_iterations: int = 8
     measurement_noise_sigma: float = 0.002
-    guard_fraction: float = 0.6
+    guard_fraction: ClassVar[float] = 0.6
 
     def __post_init__(self) -> None:
-        for name in ("step_fraction", "tolerance", "measurement_noise_sigma", "guard_fraction"):
+        for name in ("step_fraction", "tolerance", "measurement_noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if not 0.0 < self.step_fraction <= 1.0:
@@ -88,8 +86,6 @@ class TunePolicy:
             raise DomainError(f"max_iterations must be an integer >= 1, got {n!r}")
         if self.measurement_noise_sigma < 0:
             raise DomainError("measurement noise must be non-negative")
-        if not 0.0 <= self.guard_fraction < 1.0:
-            raise DomainError("guard_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +120,7 @@ def required_shift(f_now: float, f_target: float) -> float:
 
 def _shot_limits(model: DoseModel, exposure: float) -> tuple[float, LasingRecipe, float]:
     """The single-shot ceiling, one default-power shot and that shot's mean
-    shift at this exposure, computed once per model and exposure.
+    shift at this exposure, kept for the last exposure asked of each model.
 
     The values are kept in the model's own ``__dict__``, as
     functools.cached_property does, so a model made by dataclasses.replace
@@ -132,18 +128,16 @@ def _shot_limits(model: DoseModel, exposure: float) -> tuple[float, LasingRecipe
     its own recipe; the ceiling refuses zero, NaN and inf, so no key is ever
     stored that equal exposures of other bits would share. Both shots have
     this exposure and no displacement, and 40 mW is below the 49.99 mW
-    ceiling, so the shot computes whenever the ceiling does.
+    ceiling, so the shot computes whenever the ceiling does. ``plan`` asks
+    for one exposure and ``iterative_tune`` only for 60 s, so one entry holds.
     """
-    memo = vars(model).setdefault("_shot_limits", {})
     key = (type(exposure), exposure)
-    limits = memo.get(key)
-    if limits is None:
-        if len(memo) >= _MEMO_SIZE:
-            memo.clear()
+    entry = vars(model).get("_shot_limits")
+    if entry is None or entry[0] != key:
         ceiling = mean_shift(LasingRecipe(power=_POWER_CEILING_MW, exposure=exposure), model)
         full = LasingRecipe(power=DEFAULT_RECIPE.power, exposure=exposure)
-        limits = memo[key] = (ceiling, full, mean_shift(full, model))
-    return limits
+        entry = vars(model)["_shot_limits"] = (key, (ceiling, full, mean_shift(full, model)))
+    return entry[1]
 
 
 def power_for_shift(

@@ -7,9 +7,9 @@ modeled as scalar Gaussian draws scored by
 
     qc_score = exp(-(centering / delta_c)^2 - (focus / delta_f)^2)
 
-and gated at 0.97 (inclusive). A batch run walks the whole wafer, annealing
-every junction that passes QC, with one independent random stream per
-junction so results do not depend on processing order.
+and gated at a fixed 0.97 (inclusive). A batch run walks the whole wafer,
+annealing every junction that passes QC, with one independent random stream
+per junction so results do not depend on processing order.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 SECONDS_PER_JUNCTION = 20.0
+# The alignment score a visit needs to pass QC; the boundary passes.
+_QC_THRESHOLD = 0.97
 
 QcStatus = Literal["passed", "excluded"]
 
@@ -184,11 +186,7 @@ def _visit_errors(eps_center: float, eps_focus: float, noise: StageNoise) -> tup
     return abs(noise.sigma_center * eps_center), abs(noise.sigma_focus * eps_focus)
 
 
-def simulate_alignment(
-    junction: JunctionRecord,
-    noise: StageNoise,
-    rng: np.random.Generator,
-) -> AlignmentResult:
+def simulate_alignment(noise: StageNoise, rng: np.random.Generator) -> AlignmentResult:
     """Draw one visit's centering and focus errors and score them."""
     centering, focus = _visit_errors(
         float(rng.standard_normal()), float(rng.standard_normal()), noise
@@ -197,15 +195,9 @@ def simulate_alignment(
     return AlignmentResult(centering_offset=centering, focus_error=focus, qc_score=score)
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise DomainError(f"threshold must be in (0, 1], got {threshold!r}")
-
-
-def qc_gate(result: AlignmentResult, threshold: float = 0.97) -> QcStatus:
+def qc_gate(result: AlignmentResult) -> QcStatus:
     """Gate a visit on its alignment score; the boundary passes."""
-    _check_threshold(threshold)
-    return "passed" if result.qc_score >= threshold else "excluded"
+    return "passed" if result.qc_score >= _QC_THRESHOLD else "excluded"
 
 
 def run_batch(
@@ -214,7 +206,6 @@ def run_batch(
     master_seed: int,
     stage_noise: StageNoise = StageNoise(),
     model: DoseModel = DoseModel(),
-    qc_threshold: float = 0.97,
 ) -> BatchReport:
     """Anneal every QC-passing junction on the wafer, one shot each.
 
@@ -225,14 +216,13 @@ def run_batch(
     are reported, never dropped. The report is sorted by id and is
     bit-identical under any processing order of the input.
     """
-    _check_threshold(qc_threshold)
     junctions = wafer.junctions
     rows = []
     for junction, rng in zip(junctions, stream_rngs(master_seed, [j.id for j in junctions])):
         eps_center, eps_focus, eps_shot = rng.standard_normal(3).tolist()
         centering, focus = _visit_errors(eps_center, eps_focus, stage_noise)
         r_before = junction.resistance
-        if alignment_score(centering, focus, stage_noise) >= qc_threshold:
+        if alignment_score(centering, focus, stage_noise) >= _QC_THRESHOLD:
             mu = mean_shift(recipe, model, beam_offset=centering)
             shift = realized_shift(mu, eps_shot, model.stochastic)
             rows.append(BatchRow(junction.id, r_before, r_before * (1.0 + shift), "passed", shift))
@@ -254,9 +244,8 @@ def synthesize_wafer(
     base_resistance: float,
     resistance_sigma: float,
     seed: int,
-    area: float = 0.1,
 ) -> WaferLayout:
-    """Generate a full grid of junctions with lognormal resistance spread.
+    """Generate a full grid of 0.1 um^2 junctions with lognormal resistance spread.
 
     Row-major ids; junction (r, c) sits at design (c*pitch, r*pitch). Useful
     for synthetic-batch experiments and as CLI input material.
@@ -271,7 +260,7 @@ def synthesize_wafer(
         resistance = base_resistance * math.exp(resistance_sigma * float(rng.standard_normal()))
         junctions.append(
             JunctionRecord(
-                id=jid, design_xy=(c * pitch, r * pitch), area=area, resistance=resistance
+                id=jid, design_xy=(c * pitch, r * pitch), area=0.1, resistance=resistance
             )
         )
     return WaferLayout(
@@ -279,11 +268,11 @@ def synthesize_wafer(
     )
 
 
-def default_fiducials(wafer: WaferLayout, count: int = 10) -> tuple[JunctionRecord, ...]:
+def default_fiducials(wafer: WaferLayout) -> tuple[JunctionRecord, ...]:
     """Pick registration fiducials spread over the wafer hull.
 
     Corners first, then edge midpoints, then center, then quarter points,
-    skipping duplicates, until ``count`` junctions are selected.
+    skipping duplicates, until 10 junctions are selected.
     """
     if not wafer.junctions:
         raise DomainError("wafer has no junctions to pick fiducials from")
@@ -311,6 +300,6 @@ def default_fiducials(wafer: WaferLayout, count: int = 10) -> tuple[JunctionReco
         candidate = nearest(x, y)
         if candidate not in picked:
             picked.append(candidate)
-        if len(picked) == count:
+        if len(picked) == 10:
             break
     return tuple(picked)

@@ -630,6 +630,17 @@ class TestTune:
         assert main(["--seed", "3", "tune", wpath, str(ppath)]) == 2
         assert "not on the wafer" in capsys.readouterr().err
 
+    def test_plan_listing_a_junction_twice(self, tmp_path, capsys):
+        wpath, ppath = self._setup(tmp_path)
+        entry = report_doc(ppath)["junctions"][0]
+        jio.write_json(ppath, {"junctions": [entry, entry]})
+        out = tmp_path / "out"
+        assert main(["--seed", "3", "--output", str(out), "tune", wpath, ppath]) == 2
+        assert capsys.readouterr().err == (
+            "input error: plan.junctions[1].id: junction 'W-J0' is listed twice\n"
+        )
+        assert not out.exists()
+
 
 class TestTlsScan:
     def _model_doc(self, tmp_path, defects):
@@ -880,6 +891,33 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "barrier", "thickness_nm,area_um2,resistance_ohm\n"
                                               "1.5,0.1,20000\n1.5,0.1,45000\n1.5,0.1,100000\n"),
         "{data}: need at least 2 distinct values in column 'thickness_nm' to fit barrier"),
+    # One x value leaves every parameter unidentified: refused like barrier's.
+    "constant dose power": (
+        lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n20,0.01\n20,0.011\n20,0.012\n"),
+        "{data}: need at least 2 distinct values in column 'power_mw' to fit dose"),
+    "constant displacement": (
+        lambda tmp: _fit_argv(tmp, "displacement", "displacement_um,response_frac\n"
+                                                   "5,0.01\n5,0.011\n5,0.012\n"),
+        "{data}: need at least 2 distinct values in column 'displacement_um' to fit displacement"),
+    # The model is finite but r @ r overflows, so no trial could lower the cost.
+    "dose shifts near 1e200": (
+        lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n"
+                                           "10,1e200\n20,2e200\n30,3e200\n40,4e200\n"),
+        "the sum of squared residuals overflows at the starting point"),
+    "displacement responses near 1e200": (
+        lambda tmp: _fit_argv(tmp, "displacement", "displacement_um,response_frac\n"
+                                                   "0,1e200\n5,1.2e200\n10,8e199\n20,5e199\n"),
+        "the sum of squared residuals overflows at the starting point"),
+    # Seeds that overflow are computed without a numpy warning before the message.
+    "stark shifts of 1e300": (
+        lambda tmp: _fit_argv(tmp, "stark", "amplitude,shift_mhz\n0.1,1e300\n0.2,1e300\n"
+                                            "0.3,1e300\n"),
+        "the model is not finite at the starting point for this data"),
+    "aging shifts past the float range": (
+        lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,r0_ohm,cohort,wafer\n"
+                                            + "".join(f"J1,{day},1e300,1e-10,annealed,W1\n"
+                                                      for day in (0, 10, 20, 30))),
+        "the model is not finite at the starting point for this data"),
     # A blank line counts: the message names the cell's line in the file.
     "empty dose cell after a blank line": (
         lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n10,0.01\n\n20,\n"),

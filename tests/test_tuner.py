@@ -135,12 +135,8 @@ class TestIterativeTune:
             jt.TunePolicy(max_iterations=0)
         with pytest.raises(DomainError):
             jt.TunePolicy(measurement_noise_sigma=-0.01)
-        with pytest.raises(DomainError):
-            jt.TunePolicy(guard_fraction=1.0)
 
-    @pytest.mark.parametrize("field", [
-        "step_fraction", "tolerance", "measurement_noise_sigma", "guard_fraction",
-    ])
+    @pytest.mark.parametrize("field", ["step_fraction", "tolerance", "measurement_noise_sigma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_policy_rejects_non_finite_fields(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -164,7 +160,7 @@ class TestIterativeTune:
         # residual resistance gap shrinks by exactly 0.3 per iteration
         policy = jt.TunePolicy(
             step_fraction=0.7, tolerance=1e-9, max_iterations=6,
-            measurement_noise_sigma=0.0, guard_fraction=0.6,
+            measurement_noise_sigma=0.0,
         )
         trace = jt.iterative_tune(
             jt.JunctionState(resistance=7781.0), F0 - 20e6, policy, QUIET,

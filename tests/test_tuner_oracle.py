@@ -140,13 +140,13 @@ def test_default_model_matches_on_the_reference_cases():
 
 
 
-def test_memo_starts_over_past_its_size_and_still_matches():
-    # More distinct exposures than one model's memo holds, then the first
-    # few again: each is computed afresh after the memo starts over.
+def test_alternating_exposures_match_and_keep_one_entry():
+    # Each change of exposure computes the limits afresh, and the model keeps
+    # the last exposure's entry only; an int 60 is its own key.
     model = DoseModel()
-    exposures = [1.0 + 0.5 * k for k in range(tuner._MEMO_SIZE + 8)]
-    for exposure in exposures + exposures[:8]:
+    for exposure in (60.0, 1.0, 60.0, 2.5, 60, 60.0, 2.5, 1000.0, 60.0):
         for shift in (0.004, 0.05):
             _same("recipe_for_shift", shift, model, exposure, 1000)
             _same("power_for_shift", shift, model, exposure)
-    assert len(vars(model)["_shot_limits"]) < tuner._MEMO_SIZE
+        key, _ = vars(model)["_shot_limits"]
+        assert key == (type(exposure), exposure)

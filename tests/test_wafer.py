@@ -66,7 +66,7 @@ class TestAffine:
         # 0.5 um stage noise on 10 fiducials leaves a sub-micron residual;
         # mean per-coordinate RMS over many seeds sits near 0.4 um
         wafer = jt.synthesize_wafer("WREG", 8, 8, 1000.0, 7800.0, 0.01, seed=1)
-        fids = jt.default_fiducials(wafer, count=10)
+        fids = jt.default_fiducials(wafer)
         design = np.array([f.design_xy for f in fids])
         true_stage = design @ rotation_scale().T + np.array([120.0, -45.0])
         rms = []
@@ -103,19 +103,11 @@ class TestAlignment:
         assert jt.qc_gate(passing) == "passed"
         assert jt.qc_gate(failing) == "excluded"
 
-    def test_gate_threshold_validation(self):
-        r = jt.AlignmentResult(centering_offset=0.0, focus_error=0.0, qc_score=1.0)
-        with pytest.raises(DomainError):
-            jt.qc_gate(r, threshold=0.0)
-        with pytest.raises(DomainError):
-            jt.qc_gate(r, threshold=1.5)
-
     def test_default_noise_pass_rate(self):
         # sigma/delta = 0.06 both axes puts the 0.97 gate near 98.5% yield
         noise = jt.StageNoise()
-        j = jt.JunctionRecord(id="x", design_xy=(0.0, 0.0), area=0.1, resistance=8000.0)
         passed = sum(
-            jt.qc_gate(jt.simulate_alignment(j, noise, child_rng(7, f"S{i}"))) == "passed"
+            jt.qc_gate(jt.simulate_alignment(noise, child_rng(7, f"S{i}"))) == "passed"
             for i in range(3000)
         )
         assert passed / 3000 == pytest.approx(0.985, abs=0.01)
@@ -168,7 +160,7 @@ class TestLayout:
 
     def test_default_fiducials_cover_corners(self):
         w = jt.synthesize_wafer("W1", 8, 8, 50.0, 7800.0, 0.01, seed=1)
-        fids = jt.default_fiducials(w, count=10)
+        fids = jt.default_fiducials(w)
         assert len(fids) == 10
         assert len({f.id for f in fids}) == 10
         xys = {f.design_xy for f in fids}
@@ -265,7 +257,7 @@ class TestBatch:
         assert Counter(e.qc_status for e in report.entries)["excluded"] > 0
         for junction in w.junctions:
             rng = child_rng(13, junction.id)
-            visit = jt.simulate_alignment(junction, harsh, rng)
+            visit = jt.simulate_alignment(harsh, rng)
             row = by_id[junction.id]
             assert row.qc_status == jt.qc_gate(visit)
             if row.qc_status == "passed":
@@ -278,11 +270,6 @@ class TestBatch:
                 )
             else:
                 assert (row.r_after, row.shift_frac) == (junction.resistance, 0.0)
-
-    def test_threshold_checked_before_any_visit(self):
-        w = jt.WaferLayout(wafer_id="WT", rows=1, cols=1, pitch=50.0, junctions=())
-        with pytest.raises(DomainError, match="threshold"):
-            jt.run_batch(w, jt.DEFAULT_RECIPE, master_seed=1, qc_threshold=1.5)
 
 
 class TestChildStreams:
