@@ -14,7 +14,7 @@ approximately preserved; ``offset_preservation`` quantifies exactly how well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -111,7 +111,7 @@ def aging_shift(t: float, params: AgingParams) -> float:
 
 _AGING_SPEC = ModelSpec(
     evaluator=_shift_model,
-    parameter_names=("final_shift_a", "depth_b", "tau_days"),
+    parameter_names=tuple(f.name for f in fields(AgingParams)),
     bounds=((-np.inf, np.inf), (-np.inf, np.inf), (1e-6, np.inf)),
 )
 

@@ -200,7 +200,7 @@ def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
 
 
 def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]]:
-    from .aging import fit_aging
+    from .aging import _AGING_SPEC, fit_aging
 
     series = jio.read_aging_csv(args.data)
     if args.wafer:
@@ -215,7 +215,7 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
         raise SchemaError(
             f"data mixes cohorts ({listing}); select one with --wafer/--cohort"
         )
-    return _fit_or_partial(fit_aging, *series), ("final_shift_a", "depth_b", "tau_days")
+    return _fit_or_partial(fit_aging, *series), _AGING_SPEC.parameter_names
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -205,14 +205,8 @@ class DoseModel:
     displacement: DisplacementParams = DisplacementParams()
     stochastic: StochasticParams = StochasticParams()
 
-    def __post_init__(self) -> None:
-        # Set where the model is built, so a model made by dataclasses.replace
-        # starts afresh: the transfer at zero displacement, which every
-        # mean_shift divides by.
-        object.__setattr__(self, "_zero_transfer", heat_transfer_factor(0.0, self.displacement))
 
-
-DEFAULT_RECIPE = LasingRecipe(power=40.0, exposure=60.0, repetitions=1, displacement=0.0)
+DEFAULT_RECIPE = LasingRecipe(power=40.0)
 
 
 def junction_temperature(power: float, heating: HeatingParams = HeatingParams()) -> float:
@@ -299,14 +293,12 @@ def mean_shift(
     e.g. a visit's centering error.
     """
     displacement = recipe.displacement + beam_offset
-    # Normalized thermal transfer; 1 at zero displacement by construction
-    # (exp(-0.0) is 1.0, so a zero of either sign has the model's zero transfer).
-    transfer = (
-        model._zero_transfer
-        if displacement == 0.0
-        else heat_transfer_factor(displacement, model.displacement)
-    )
-    effective_power = recipe.power * (transfer / model._zero_transfer)
+    params = model.displacement
+    # Normalized thermal transfer; the transfer at zero displacement is A + B
+    # exactly (exp(-0.0) is 1.0), and is the transfer at a zero of either sign.
+    zero = params.transfer_amp_a + params.transfer_offset_b
+    transfer = zero if displacement == 0.0 else heat_transfer_factor(displacement, params)
+    effective_power = recipe.power * (transfer / zero)
     temperature = junction_temperature(effective_power, model.heating)
     saturated = mean_shift_vs_temperature(temperature, model.response)
     return saturated * exposure_factor(recipe.exposure, recipe.repetitions, model.response)

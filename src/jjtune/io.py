@@ -63,8 +63,8 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write text, or the pieces of text an iterable yields, to path via a
     same-directory temp file and rename.
 
-    Pieces go to the file in blocks of about ``_BLOCK`` characters, so text
-    that is generated as it is written is never held whole. Creates missing
+    Pieces go through the file's ``_BLOCK``-byte buffer, so text that is
+    generated as it is written is never held whole. Creates missing
     parent directories. A path that cannot be written raises SchemaError
     naming it; that, or an exception raised while the pieces are made,
     leaves the target as it was and no temp file behind.
@@ -74,8 +74,8 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines((text,) if isinstance(text, str) else _blocks(text))
+        with os.fdopen(fd, "w", buffering=_BLOCK, encoding="utf-8", newline="") as handle:
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot write ({exc.strerror})")
@@ -84,19 +84,7 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
             os.unlink(tmp)
 
 
-_BLOCK = 1 << 17  # characters per file write of a streamed text
-
-
-def _blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces`` joined into blocks of at least ``_BLOCK`` characters (the last may be shorter)."""
-    block, size = [], 0
-    for piece in pieces:
-        block.append(piece)
-        size += len(piece)
-        if size >= _BLOCK:
-            text, block, size = "".join(block), [], 0
-            yield text
-    yield "".join(block)
+_BLOCK = 1 << 17  # bytes of the written file's buffer: its size per file write
 
 
 _INDENT = "  "
@@ -156,14 +144,10 @@ def _dict_list_pieces(lists: Sequence[Sequence[dict]], depth: int) -> Iterator[I
 def _spliced(pieces: list[str], at: int, end: int, slots: Sequence[int],
              inner: Iterator[Iterable[str]], separator: str) -> Iterator[str]:
     """``pieces[at:end]`` joined by separator, with the pieces of the next of
-    ``inner`` in place of the last null in each of ``slots``. A nested
-    value given whole, as a 1-tuple, goes into its piece."""
+    ``inner`` in place of the last null in each of ``slots``."""
     for slot in slots:
         nested = next(inner)
         head, _, tail = pieces[slot].rpartition("null")
-        if type(nested) is tuple:
-            pieces[slot] = f"{head}{nested[0]}{tail}"
-            continue
         pieces[slot] = head
         yield separator.join(pieces[at:slot + 1])
         yield from nested
@@ -174,14 +158,14 @@ def _spliced(pieces: list[str], at: int, end: int, slots: Sequence[int],
 def _encode(values: Sequence, depth: int, seen: set) -> Iterator[Iterable[str]]:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for each of
     ``values``, nested ``depth`` levels deep, encoded one level at a time:
-    a 1-tuple of the whole text, or an iterator of its pieces, made as they
-    are asked for, to be used up before the next value is asked for.
+    an iterable of its pieces, made as they are asked for, to be used up
+    before the next value is asked for.
 
     A chunk of values that are lists of flat dicts takes one C encoder call
     per ``_BATCH`` dicts. Any other chunk of values takes one call over
     stubs, each container with its nested values as null. Those nested
-    values, one level down, take one recursion per chunk, and their texts or
-    pieces go in at the nulls. Encoded strings never contain a raw newline,
+    values, one level down, take one recursion per chunk, and their pieces
+    go in at the nulls. Encoded strings never contain a raw newline,
     so every ",\\n<pad>" in a C encoder's output is an item separator.
 
     ``seen`` holds the id of each container met that holds a nested value.
@@ -246,7 +230,7 @@ def json_text(doc: Any) -> str:
 
 
 def write_json(path: str, doc: Any) -> None:
-    """``json_text(doc)`` written to path atomically, a block at a time as it is encoded."""
+    """``json_text(doc)`` written to path atomically, through the file's buffer as it is encoded."""
     atomic_write_text(path, _json_pieces(doc))
 
 

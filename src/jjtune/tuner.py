@@ -143,7 +143,7 @@ def _shot_limits(model: DoseModel, exposure: float) -> tuple[float, LasingRecipe
 def power_for_shift(
     target_shift: float,
     model: DoseModel = DoseModel(),
-    exposure: float = 60.0,
+    exposure: float = DEFAULT_RECIPE.exposure,
 ) -> float:
     """Exact laser power (mW) whose mean shift equals target_shift.
 
@@ -182,7 +182,7 @@ def power_for_shift(
 def recipe_for_shift(
     target_shift: float,
     model: DoseModel = DoseModel(),
-    exposure: float = 60.0,
+    exposure: float = DEFAULT_RECIPE.exposure,
     max_shots: int = 16,
 ) -> tuple[LasingRecipe, ...]:
     """Plan shots whose cumulative mean shift composes to target_shift.
