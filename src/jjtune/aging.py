@@ -136,9 +136,21 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
 
 
 def fit_aging(*series: AgingSeries) -> FitResult:
-    """Fit one aging curve to the pooled samples of one or more series."""
+    """Fit one aging curve to the pooled samples of one or more series.
+
+    A resistance so far above its reference that the fractional shift
+    overflows is refused, naming the series.
+    """
     days = [d for s in series for d, _ in s.samples]
-    shifts = [r / s.r0_ohm - 1.0 for s in series for _, r in s.samples]
+    shifts = []
+    for s in series:
+        for _, r in s.samples:
+            shifts.append(r / s.r0_ohm - 1.0)
+            if not math.isfinite(shifts[-1]):
+                raise DomainError(
+                    f"series {s.junction_id!r}: resistance_ohm {r:.6g} over r0_ohm "
+                    f"{s.r0_ohm:.6g} gives a shift beyond the float range"
+                )
     return fit_aging_samples(days, shifts)
 
 

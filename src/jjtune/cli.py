@@ -250,17 +250,23 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- plan
 
-def _refuse_zero_frequency(junctions) -> None:
-    """Refuse a junction at or past the zero-frequency bound, which has no
-    qubit frequency to plan or tune from (exit 2). The wafer format itself
-    accepts it: ``simulate-wafer`` needs no frequency."""
-    bound = max_resistance()
+def _qubit_frequencies(junctions) -> list[float]:
+    """The qubit frequency of each junction. A junction at either end of the
+    frequency map's domain, at or past the zero-frequency bound or too small
+    a resistance for the map, has none to plan or tune from and is refused by
+    name (exit 2). The wafer format itself accepts it: ``simulate-wafer``
+    needs no frequency."""
+    freqs = []
     for junction in junctions:
-        if not junction.resistance < bound:
-            raise SchemaError(
-                f"wafer junction {junction.id!r}: resistance_ohm {junction.resistance:.6g} "
-                f"is at or beyond the zero-frequency bound {bound:.6g} ohm"
-            )
+        try:
+            freqs.append(qubit_frequency(junction.resistance))
+        except DomainError:
+            bound = max_resistance()
+            where = (f"is at or beyond the zero-frequency bound {bound:.6g} ohm"
+                     if junction.resistance >= bound else "is too small for the frequency map")
+            raise SchemaError(f"wafer junction {junction.id!r}: resistance_ohm "
+                              f"{junction.resistance:.6g} {where}") from None
+    return freqs
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -271,8 +277,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     targets, spacing = jio.targets_from_doc(
         jio.load_json(args.targets), [j.id for j in junctions]
     )
-    _refuse_zero_frequency(junctions)
-    freqs = [qubit_frequency(j.resistance) for j in junctions]
+    freqs = _qubit_frequencies(junctions)
     if targets is None:
         targets = allocate_targets(freqs, spacing)
     budget = _given(args, "exposure", "max_shots")
@@ -306,7 +311,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
     by_id = {j.id: j for j in wafer.junctions}
     ids, targets = jio.plan_from_doc(jio.load_json(args.plan), by_id)
-    _refuse_zero_frequency(by_id[jid] for jid in ids)
+    _qubit_frequencies(by_id[jid] for jid in ids)
     seed = _require_seed(args)
     policy = TunePolicy(
         **_given(args, "step_fraction", "tolerance", "max_iterations", "measurement_noise_sigma")

@@ -91,6 +91,8 @@ def qubit_frequency(r_n: float) -> float:
 
     Strictly decreasing in r_n. Valid for 0 < r_n < max_resistance();
     outside that window the formula would return a non-positive frequency.
+    A resistance so small that e^2 * r_n underflows to zero (below ~9.6e-287
+    ohm) is refused too.
     """
     if not r_n > 0:
         raise DomainError(f"resistance must be positive, got {r_n!r}")
@@ -99,14 +101,24 @@ def qubit_frequency(r_n: float) -> float:
             f"resistance {r_n:.6g} ohm is at or beyond the zero-frequency "
             f"bound {_R_MAX:.6g} ohm"
         )
-    return (math.sqrt(_H_GAP_EC / (_E2 * r_n)) - _EC_J) / _H
+    try:
+        return (math.sqrt(_H_GAP_EC / (_E2 * r_n)) - _EC_J) / _H
+    except ZeroDivisionError:
+        raise DomainError(f"resistance {r_n:.6g} ohm is too small for the frequency map") from None
 
 
 def resistance_for_frequency(f_q: float) -> float:
-    """Exact inverse of qubit_frequency: resistance (ohm) hitting f_q (Hz)."""
+    """Exact inverse of qubit_frequency: resistance (ohm) hitting f_q (Hz).
+
+    A frequency whose term (h * f_q + E_C)^2 overflows (above ~2e187 Hz) is
+    refused.
+    """
     if not 0.0 < f_q < math.inf:
         raise DomainError(f"frequency must be positive, got {f_q!r}")
-    return _H_GAP_EC / (_E2 * (_H * f_q + _EC_J) ** 2)
+    try:
+        return _H_GAP_EC / (_E2 * (_H * f_q + _EC_J) ** 2)
+    except OverflowError:
+        raise DomainError(f"frequency {f_q:.6g} Hz is too large for the frequency map") from None
 
 
 def linearized_shift(resistance_shift: float) -> float:

@@ -277,6 +277,8 @@ def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     if len(points) < 3:
         raise DomainError("need at least 3 calibration points")
     amps = np.array([a for a, _ in points], dtype=float)
+    if not amps.any():  # every model value is 0 then, whatever A is
+        raise DomainError("need a nonzero amplitude to fit the conversion factor")
     shifts = np.array([s for _, s in points], dtype=float)
     sign = -1.0 if float(np.mean(shifts)) < 0 else 1.0
 
@@ -437,6 +439,8 @@ def extract_tls(
     prof = np.asarray(list(profile), dtype=float)
     if offsets.size != prof.size:
         raise DomainError("profile and offset grid sizes differ")
+    if np.unique(offsets).size < 2:  # a peak's position and width need a spread of offsets
+        raise DomainError("need at least 2 distinct frequency offsets to extract defects")
     if np.any(prof <= 0):
         raise DomainError("profile must be strictly positive to infer rates")
     if not 0.0 < wait < math.inf:

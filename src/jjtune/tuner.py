@@ -256,7 +256,12 @@ def iterative_tune(
 
     r_target = resistance_for_frequency(f_target)
     f_aim = f_target * (1.0 + policy.guard_fraction * policy.tolerance)
-    r_aim = resistance_for_frequency(f_aim)
+    try:
+        r_aim = resistance_for_frequency(f_aim)
+    except DomainError as exc:
+        raise DomainError(
+            f"tolerance {policy.tolerance:g} puts the aim point out of range: {exc}"
+        ) from None
     band = policy.tolerance * f_target
     sigma = policy.measurement_noise_sigma
     exposure = DEFAULT_RECIPE.exposure
@@ -278,7 +283,9 @@ def iterative_tune(
         r_hat = math.exp(sum(fused_logs) / len(fused_logs))
         try:
             inferred = qubit_frequency(r_hat)
-        except DomainError:  # r_hat is positive, so it lies at or past the zero-frequency bound
+        except DomainError:  # r_hat is positive: past the zero-frequency bound, or too small
+            if r_hat < max_resistance():
+                raise  # too small for the map, which says so
             raise DomainError(
                 f"fused resistance estimate {r_hat:.6g} ohm at measurement noise sigma {sigma:g} "
                 f"is at or beyond the zero-frequency bound {max_resistance():.6g} ohm"

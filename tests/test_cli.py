@@ -854,6 +854,27 @@ def _fit_argv(tmp_path, kind, text, *flags):
     return ["--output", str(tmp_path / "out"), "fit", kind, str(data), *flags]
 
 
+def _one_junction_wafer(tmp_path, resistance):
+    junctions = (jt.JunctionRecord(id="W-J0", design_xy=(0.0, 0.0), area=0.1,
+                                   resistance=resistance),)
+    return write_wafer(tmp_path, jt.WaferLayout(wafer_id="W", rows=1, cols=1, pitch=50.0,
+                                                junctions=junctions))
+
+
+def _plan_cmd_argv(tmp_path, resistance):
+    targets = tmp_path / "targets.json"
+    jio.write_json(str(targets), {"min_spacing_mhz": 50.0})
+    return ["--output", str(tmp_path / "out"), "plan", _one_junction_wafer(tmp_path, resistance),
+            str(targets)]
+
+
+def _tune_cmd_argv(tmp_path, resistance, target_ghz, *flags):
+    plan = tmp_path / "plan.json"
+    jio.write_json(str(plan), {"junctions": [{"id": "W-J0", "f_target_ghz": target_ghz}]})
+    return ["--seed", "3", "--output", str(tmp_path / "out"), "tune",
+            _one_junction_wafer(tmp_path, resistance), str(plan), *flags]
+
+
 # Each case is (argv builder, the message); "{data}" stands for the input CSV's path.
 INPUT_FAILURES = {
     "negative readout noise": (
@@ -917,7 +938,40 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,r0_ohm,cohort,wafer\n"
                                             + "".join(f"J1,{day},1e300,1e-10,annealed,W1\n"
                                                       for day in (0, 10, 20, 30))),
-        "the model is not finite at the starting point for this data"),
+        "series 'J1': resistance_ohm 1e+300 over r0_ohm 1e-10 gives a shift beyond the float range"),
+    # Every amplitude 0 makes the model 0 whatever the conversion factor.
+    "stark amplitudes all zero": (
+        lambda tmp: _fit_argv(tmp, "stark", "amplitude,shift_mhz\n0,1\n0,2\n0,3\n"),
+        "need a nonzero amplitude to fit the conversion factor"),
+    # One offset gives the defect fit's position bounds zero width.
+    "tls fit on one offset": (
+        lambda tmp: _fit_argv(tmp, "tls", "time_h,0.5\n0.0,0.5\n1.0,0.5\n"),
+        "need at least 2 distinct frequency offsets to extract defects"),
+    "tls fit on one offset repeated": (
+        lambda tmp: _fit_argv(tmp, "tls", "time_h,0.5,0.5\n0.0,0.5,0.4\n1.0,0.5,0.4\n"),
+        "need at least 2 distinct frequency offsets to extract defects"),
+    "tls scan on one offset": (
+        lambda tmp: _model_argv(tmp, 0.02, "--f-min-mhz", "0", "--f-max-mhz", "0.1",
+                                "--f-step-mhz", "1"),
+        "need at least 2 distinct frequency offsets to extract defects"),
+    # e^2 * R underflows to zero below ~9.6e-287 ohm; (h f + E_C)^2 overflows
+    # above ~2e187 Hz.
+    "plan junction too small for the frequency map": (
+        lambda tmp: _plan_cmd_argv(tmp, 1e-300),
+        "wafer junction 'W-J0': resistance_ohm 1e-300 is too small for the frequency map"),
+    "tune junction too small for the frequency map": (
+        lambda tmp: _tune_cmd_argv(tmp, 1e-300, 5.0),
+        "wafer junction 'W-J0': resistance_ohm 1e-300 is too small for the frequency map"),
+    "tune target past the frequency map": (
+        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 1e190),
+        "frequency 1e+199 Hz is too large for the frequency map"),
+    "tune tolerance putting the aim point past the frequency map": (
+        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 5.0, "--tolerance", "1e200"),
+        "tolerance 1e+200 puts the aim point out of range: "
+        "frequency 3e+209 Hz is too large for the frequency map"),
+    "tune tolerance putting the aim point at infinity": (
+        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 5.0, "--tolerance", "1e300"),
+        "tolerance 1e+300 puts the aim point out of range: frequency must be positive, got inf"),
     # A blank line counts: the message names the cell's line in the file.
     "empty dose cell after a blank line": (
         lambda tmp: _fit_argv(tmp, "dose", "power_mw,shift_frac\n10,0.01\n\n20,\n"),

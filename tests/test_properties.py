@@ -3,13 +3,14 @@
 Every junction's random stream is keyed by its id, so its result must not
 depend on which other junctions a run lists, or in what order. A plan's
 shots compose to the shift it asks for, and a noise-free tune never
-overshoots its target.
+overshoots its target. ``plan`` and ``tune`` end with an exit code of the
+contract, never an exception, across the whole float range of their inputs.
 """
 
 import json
 import math
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -166,3 +167,42 @@ def test_noise_free_tune_never_overshoots(draws):
     assert len(traces) == len(draws)
     for trace in traces:
         assert trace["outcome"] != "overshoot", trace["junction_id"]
+
+
+def _decades(low: int, high: int):
+    """Floats 10**e for e drawn from [low, high]: every scale alike."""
+    return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
+
+
+# Resistances from below the frequency map's domain (e^2 * R underflows under
+# ~9.6e-287 ohm) to past its zero-frequency bound (3.86e6 ohm); targets from
+# 1e-300 GHz to past the map's top (~2e178 GHz) and the float range.
+@given(st.lists(st.tuples(_decades(-300, 7), _decades(-300, 300)), min_size=1, max_size=3),
+       _decades(-300, 300))
+def test_plan_and_tune_exit_by_the_contract_across_the_float_range(draws, tolerance):
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        junctions = tuple(
+            jt.JunctionRecord(id=f"W-J{k}", design_xy=(50.0 * k, 0.0), area=0.1, resistance=r)
+            for k, (r, _) in enumerate(draws)
+        )
+        wafer = str(directory / "wafer.json")
+        jio.write_json(wafer, jio.wafer_to_doc(jt.WaferLayout(
+            wafer_id="W", rows=1, cols=len(draws), pitch=50.0, junctions=junctions)))
+        targets = {j.id: target for j, (_, target) in zip(junctions, draws)}
+        tpath, ppath = directory / "targets.json", directory / "plan.json"
+        jio.write_json(str(tpath), {"targets_ghz": targets})
+        jio.write_json(str(ppath), {"junctions": [
+            {"id": jid, "f_target_ghz": target} for jid, target in targets.items()
+        ]})
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            codes = [
+                main(["--output", str(directory / "planned.json"), "plan", wafer, str(tpath)]),
+                main(["--seed", "0", "--output", str(directory / "out"), "tune", wafer,
+                      str(ppath), "--tolerance", repr(tolerance)]),
+            ]
+    assert set(codes) <= {0, 2, 3}, codes
+    lines = err.getvalue().splitlines()
+    assert len(lines) == sum(code != 0 for code in codes), lines
+    assert all(line.startswith(("input error: ", "infeasible: ")) for line in lines), lines

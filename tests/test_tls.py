@@ -211,6 +211,16 @@ class TestStark:
         with pytest.raises(DomainError):
             jt.fit_stark([(0.01, -1e5), (0.02, -4e5)])
 
+    def test_fit_refuses_amplitudes_all_zero(self):
+        with pytest.raises(DomainError, match="need a nonzero amplitude"):
+            jt.fit_stark([(0.0, -1e5), (0.0, -2e5), (0.0, -3e5)])
+
+    def test_fit_of_equal_nonzero_amplitudes_identifies_the_factor(self):
+        cal = jt.StarkCalibration()
+        fit = jt.fit_stark([(0.1, jt.stark_shift(0.1, cal, -1))] * 3)
+        assert fit.converged
+        assert float(fit.params[0]) == pytest.approx(432e6, rel=1e-9)
+
 
 class TestSpectroMap:
     def test_row_count_and_time_axis(self):
