@@ -861,14 +861,14 @@ def _one_junction_wafer(tmp_path, resistance):
                                                 junctions=junctions))
 
 
-def _plan_cmd_argv(tmp_path, resistance):
+def _plan_one_junction_argv(tmp_path, resistance):
     targets = tmp_path / "targets.json"
     jio.write_json(str(targets), {"min_spacing_mhz": 50.0})
     return ["--output", str(tmp_path / "out"), "plan", _one_junction_wafer(tmp_path, resistance),
             str(targets)]
 
 
-def _tune_cmd_argv(tmp_path, resistance, target_ghz, *flags):
+def _tune_one_junction_argv(tmp_path, resistance, target_ghz, *flags):
     plan = tmp_path / "plan.json"
     jio.write_json(str(plan), {"junctions": [{"id": "W-J0", "f_target_ghz": target_ghz}]})
     return ["--seed", "3", "--output", str(tmp_path / "out"), "tune",
@@ -957,20 +957,20 @@ INPUT_FAILURES = {
     # e^2 * R underflows to zero below ~9.6e-287 ohm; (h f + E_C)^2 overflows
     # above ~2e187 Hz.
     "plan junction too small for the frequency map": (
-        lambda tmp: _plan_cmd_argv(tmp, 1e-300),
+        lambda tmp: _plan_one_junction_argv(tmp, 1e-300),
         "wafer junction 'W-J0': resistance_ohm 1e-300 is too small for the frequency map"),
     "tune junction too small for the frequency map": (
-        lambda tmp: _tune_cmd_argv(tmp, 1e-300, 5.0),
+        lambda tmp: _tune_one_junction_argv(tmp, 1e-300, 5.0),
         "wafer junction 'W-J0': resistance_ohm 1e-300 is too small for the frequency map"),
     "tune target past the frequency map": (
-        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 1e190),
+        lambda tmp: _tune_one_junction_argv(tmp, 7781.0, 1e190),
         "frequency 1e+199 Hz is too large for the frequency map"),
     "tune tolerance putting the aim point past the frequency map": (
-        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 5.0, "--tolerance", "1e200"),
+        lambda tmp: _tune_one_junction_argv(tmp, 7781.0, 5.0, "--tolerance", "1e200"),
         "tolerance 1e+200 puts the aim point out of range: "
         "frequency 3e+209 Hz is too large for the frequency map"),
     "tune tolerance putting the aim point at infinity": (
-        lambda tmp: _tune_cmd_argv(tmp, 7781.0, 5.0, "--tolerance", "1e300"),
+        lambda tmp: _tune_one_junction_argv(tmp, 7781.0, 5.0, "--tolerance", "1e300"),
         "tolerance 1e+300 puts the aim point out of range: frequency must be positive, got inf"),
     # A blank line counts: the message names the cell's line in the file.
     "empty dose cell after a blank line": (
