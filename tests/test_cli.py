@@ -938,7 +938,8 @@ INPUT_FAILURES = {
         lambda tmp: _fit_argv(tmp, "aging", "junction_id,day,resistance_ohm,r0_ohm,cohort,wafer\n"
                                             + "".join(f"J1,{day},1e300,1e-10,annealed,W1\n"
                                                       for day in (0, 10, 20, 30))),
-        "series 'J1': resistance_ohm 1e+300 over r0_ohm 1e-10 gives a shift beyond the float range"),
+        "series 'J1': resistance_ohm 1e+300 over r0_ohm 1e-10 gives a shift beyond the "
+        "float range"),
     # Every amplitude 0 makes the model 0 whatever the conversion factor.
     "stark amplitudes all zero": (
         lambda tmp: _fit_argv(tmp, "stark", "amplitude,shift_mhz\n0,1\n0,2\n0,3\n"),
