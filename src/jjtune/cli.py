@@ -78,15 +78,11 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     report = run_batch(wafer, recipe, master_seed=seed)
     directory = args.output or "."
-    doc = jio.batch_report_to_doc(report)
-    jio.write_json(os.path.join(directory, "report.json"), doc)
-    summary = (
-        f"{doc['wafer_id']}: {doc['n_junctions']} junctions, {doc['n_passed']} annealed, "
-        f"estimated wall time {doc['estimated_wall_time_s']:.0f} s"
-    )
-    del doc  # not needed for the CSV; freed before that text is built
+    jio.atomic_write_text(os.path.join(directory, "report.json"), jio.batch_report_json(report))
     jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
-    print(summary)
+    n_passed = sum(row.qc_status == "passed" for row in report.entries)
+    print(f"{report.wafer_id}: {len(report.entries)} junctions, {n_passed} annealed, "
+          f"estimated wall time {report.estimated_wall_time_s:.0f} s")
     return 0
 
 
@@ -284,19 +280,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     entries = []
     for junction, f_now, f_target in zip(junctions, freqs, targets):
         shift = required_shift(f_now, f_target)
-        shots = recipe_for_shift(shift, **budget)
-        entries.append(
-            {
-                "id": junction.id,
-                "f_now_ghz": f_now / 1e9,
-                "f_target_ghz": f_target / 1e9,
-                "required_shift_frac": shift,
-                "shots": [jio.recipe_to_doc(recipe) for recipe in shots],
-            }
-        )
+        entries.append((junction.id, f_now, f_target, shift, recipe_for_shift(shift, **budget)))
     out_path = args.output or "plan.json"
-    jio.write_json(out_path, jio.plan_to_doc(wafer.wafer_id, entries))
-    total = sum(len(e["shots"]) for e in entries)
+    jio.atomic_write_text(out_path, jio.plan_json(wafer.wafer_id, entries))
+    total = sum(len(entry[4]) for entry in entries)
     print(f"{wafer.wafer_id}: planned {len(entries)} junctions, {total} shots")
     return 0
 
@@ -333,10 +320,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
     ]
     directory = args.output or "."
-    doc = jio.traces_to_doc(traces)
-    jio.write_json(os.path.join(directory, "traces.json"), doc)
-    summary = doc["summary"]
-    del doc  # not needed for the CSV; freed before that text is built
+    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json(traces))
+    summary = jio.traces_summary(traces)
     if args.format == "csv":
         jio.atomic_write_text(os.path.join(directory, "traces.csv"), jio.traces_csv(traces))
     print(

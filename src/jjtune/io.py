@@ -15,10 +15,12 @@ import io as _io
 import itertools
 import json
 import math
+import operator
 import os
+import re
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Any, Container, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "targets_from_doc",
     "plan_from_doc",
     "batch_report_to_doc",
+    "batch_report_json",
     "batch_report_csv",
     "read_aging_csv",
     "read_columns_csv",
@@ -52,7 +55,10 @@ __all__ = [
     "read_map_csv",
     "extraction_to_doc",
     "plan_to_doc",
+    "plan_json",
     "traces_to_doc",
+    "traces_summary",
+    "traces_json",
     "traces_csv",
 ]
 
@@ -232,6 +238,46 @@ def json_text(doc: Any) -> str:
 def write_json(path: str, doc: Any) -> None:
     """``json_text(doc)`` written to path atomically, through the file's buffer as it is encoded."""
     atomic_write_text(path, _json_pieces(doc))
+
+
+# The record renderers (batch_report_json, plan_json, traces_json) spell out
+# each record of a document's list with one f-string, its keys in sorted
+# order, its strings through encode_basestring_ascii and its floats through
+# repr, as the C encoder writes them. That holds for records of plain str and
+# finite float values; any other record set takes the generic encoder over
+# the document its *_to_doc builds.
+
+_text = json.encoder.encode_basestring_ascii
+_ROWS = 64  # record texts joined into one written piece
+
+
+def _plain(strings: Iterable, floats: Callable[[], Iterable]) -> bool:
+    """True when every one of ``strings`` is a str and every value ``floats()``
+    yields a finite float. It is called twice, so no list of them is held."""
+    # A sum past the float range only sends finite floats the generic way.
+    return ({str}.issuperset(map(type, strings)) and {float}.issuperset(map(type, floats()))
+            and math.isfinite(sum(floats(), 0.0)))
+
+
+def _values(getter: Callable, records: Iterable) -> Iterator:
+    """The values of each record's ``getter`` tuple, one after another."""
+    return itertools.chain.from_iterable(map(getter, records))
+
+
+def _json_list(shell: dict, key: str, items: Iterator[str]) -> Iterator[str]:
+    """``json_text(shell)`` in pieces, with the list whose item texts ``items``
+    yields, one level in, in place of ``shell[key]``, a null."""
+    head, _, tail = json_text(shell).partition(f'\n{_INDENT}"{key}": null')
+    chunks = iter(lambda: list(itertools.islice(items, _ROWS)), [])
+    first = next(chunks, None)
+    if first is None:
+        yield f'{head}\n{_INDENT}"{key}": []{tail}'
+        return
+    separator = ",\n" + _INDENT * 2
+    yield f'{head}\n{_INDENT}"{key}": [\n{_INDENT * 2}' + separator.join(first)
+    for chunk in chunks:
+        yield separator + separator.join(chunk)
+    yield f"\n{_INDENT}]{tail}"
 
 
 @contextlib.contextmanager
@@ -433,17 +479,54 @@ def batch_report_to_doc(report: BatchReport) -> dict:
     }
 
 
-def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    """CSV text; the writer renders floats with repr and None as an empty field."""
+_ROW_STRINGS = operator.itemgetter(0, 3)
+_ROW_FLOATS = operator.itemgetter(1, 2, 4)
+
+
+def batch_report_json(report: BatchReport) -> Iterator[str]:
+    """``json_text(batch_report_to_doc(report))`` in pieces, from the rows."""
+    entries = report.entries
+    if not _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries)):
+        yield from _json_pieces(batch_report_to_doc(report))
+        return
+    n_passed = sum(row.qc_status == "passed" for row in entries)
+    shell = {
+        "wafer_id": report.wafer_id,
+        "master_seed": report.master_seed,
+        "estimated_wall_time_s": report.estimated_wall_time_s,
+        "n_junctions": len(entries),
+        "n_passed": n_passed,
+        "n_excluded": len(entries) - n_passed,
+        "junctions": None,
+    }
+    items = (
+        f'{{\n      "id": {_text(jid)},\n      "qc_status": {_text(status)},\n'
+        f'      "r_after_ohm": {after!r},\n      "r_before_ohm": {before!r},\n'
+        f'      "shift_frac": {shift!r}\n    }}'
+        for jid, before, after, status, shift in entries
+    )
+    yield from _json_list(shell, "junctions", items)
+
+
+def _csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text; the writer renders each field with str, and None as an empty field."""
     buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
+_QUOTED = re.compile('[,"\r\n]').search  # finds what makes csv.writer quote a field
+
+
 def batch_report_csv(report: BatchReport) -> str:
-    return _csv_text(_REPORT_KEYS, report.entries)
+    """The report as CSV, a line per row; a row whose strings csv.writer would
+    quote is written by it."""
+    lines = [",".join(_REPORT_KEYS) + "\n"]
+    for row in report.entries:
+        jid, before, after, status, shift = row
+        lines.append(_csv_text([row]) if _QUOTED(jid + status)
+                     else f"{jid},{before},{after},{status},{shift}\n")
+    return "".join(lines)
 
 
 # ------------------------------------------------------------- fit inputs
@@ -598,7 +681,7 @@ def map_csv(spectro: SpectroMap) -> str:
     """Matrix CSV: offsets (MHz) across the header, times (hours) down."""
     header = ["time_h"] + [float(v) / 1e6 for v in spectro.freq_offsets]
     rows = ([t, *row] for t, row in zip(spectro.times.tolist(), spectro.population.tolist()))
-    return _csv_text(header, rows)
+    return _csv_text(itertools.chain([header], rows))
 
 
 def _numeric_map(handle) -> tuple | None:
@@ -746,6 +829,46 @@ def plan_to_doc(wafer_id: str, entries: Sequence[dict]) -> dict:
     return {"wafer_id": wafer_id, "junctions": list(entries)}
 
 
+_ENTRY_FLOATS = operator.itemgetter(1, 2, 3)
+_SHOT_FLOATS = operator.attrgetter("power", "exposure", "displacement")
+_RECIPE_FLOATS = operator.attrgetter("power", "exposure")
+
+
+def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
+    """``json_text(plan_to_doc(wafer_id, docs))`` in pieces, from entries
+    ``(id, f_now, f_target, shift, shots)``: frequencies in Hz, the required
+    shift fraction and the shot recipes. ``docs`` are their dicts, with the
+    frequencies in GHz and each shot as ``recipe_to_doc`` writes it."""
+    shots = list(_values(operator.itemgetter(4), entries))
+    plain = _plain(map(operator.itemgetter(0), entries), lambda: itertools.chain(
+        _values(_ENTRY_FLOATS, entries), _values(_SHOT_FLOATS, shots)))
+    if not (plain and {int}.issuperset(type(shot.repetitions) for shot in shots)):
+        docs = [{"id": jid, "f_now_ghz": now / 1e9, "f_target_ghz": target / 1e9,
+                 "required_shift_frac": shift, "shots": list(map(recipe_to_doc, recipes))}
+                for jid, now, target, shift, recipes in entries]
+        yield from _json_pieces(plan_to_doc(wafer_id, docs))
+        return
+    del shots
+
+    def shots_text(shots) -> str:
+        if not shots:
+            return "[]"
+        return "[\n        " + ",\n        ".join(
+            f'{{\n          "displacement_um": {shot.displacement!r},\n'
+            f'          "exposure_s": {shot.exposure!r},\n          "power_mw": {shot.power!r},\n'
+            f'          "repetitions": {shot.repetitions!r}\n        }}'
+            for shot in shots
+        ) + "\n      ]"
+
+    items = (
+        f'{{\n      "f_now_ghz": {now / 1e9!r},\n      "f_target_ghz": {target / 1e9!r},\n'
+        f'      "id": {_text(jid)},\n      "required_shift_frac": {shift!r},\n'
+        f'      "shots": {shots_text(shots)}\n    }}'
+        for jid, now, target, shift, shots in entries
+    )
+    yield from _json_list({"wafer_id": wafer_id, "junctions": None}, "junctions", items)
+
+
 def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
     outcomes = {"converged": 0, "overshoot": 0, "exhausted": 0}
     total_anneals = 0
@@ -785,22 +908,87 @@ def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
     return {"summary": summary, "traces": rendered}
 
 
-def traces_csv(traces: Sequence[TuneTrace]) -> str:
-    rows = (
-        (
-            trace.junction_id,
-            k,
-            it.measured_r,
-            it.inferred_f / 1e9,
-            None if it.recipe is None else it.recipe.power,
-            it.sampled_shift,
-            trace.outcome,
+def traces_summary(traces: Sequence[TuneTrace]) -> dict:
+    """The ``summary`` object of ``traces_to_doc(traces)``."""
+    outcomes = {"converged": 0, "overshoot": 0, "exhausted": 0}
+    for trace in traces:
+        outcomes[trace.outcome] += 1
+    anneals = sum(it.recipe is not None for trace in traces for it in trace.iterations)
+    n = max(len(traces), 1)
+    return {
+        "n_junctions": len(traces),
+        "n_converged": outcomes["converged"],
+        "n_overshoot": outcomes["overshoot"],
+        "n_exhausted": outcomes["exhausted"],
+        "convergence_fraction": outcomes["converged"] / n,
+        "mean_anneals": anneals / n,
+    }
+
+
+_TRACE_STRINGS = operator.attrgetter("junction_id", "outcome")
+_TRACE_FLOATS = operator.attrgetter("target_f", "final_resistance")
+_ITERATION_FLOATS = operator.attrgetter("measured_r", "inferred_f")
+
+
+def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
+    """``json_text(traces_to_doc(traces))`` in pieces, from the traces."""
+    iterations = list(_values(operator.attrgetter("iterations"), traces))
+    shifts = [it.sampled_shift for it in iterations if it.sampled_shift is not None]
+    recipes = [it.recipe for it in iterations if it.recipe is not None]
+
+    def floats():
+        return itertools.chain(_values(_TRACE_FLOATS, traces), _values(_ITERATION_FLOATS, iterations),
+                               shifts, _values(_RECIPE_FLOATS, recipes))
+
+    if not _plain(_values(_TRACE_STRINGS, traces), floats):
+        yield from _json_pieces(traces_to_doc(traces))
+        return
+    del iterations, shifts, recipes
+
+    def iteration_text(it) -> str:
+        recipe, shift = it.recipe, it.sampled_shift
+        power, exposure = ("null", "null") if recipe is None else (
+            repr(recipe.power), repr(recipe.exposure))
+        return (
+            f'{{\n          "exposure_s": {exposure},\n'
+            f'          "inferred_f_ghz": {it.inferred_f / 1e9!r},\n'
+            f'          "measured_r_ohm": {it.measured_r!r},\n          "power_mw": {power},\n'
+            f'          "sampled_shift": {"null" if shift is None else repr(shift)}\n        }}'
         )
-        for trace in traces
-        for k, it in enumerate(trace.iterations)
-    )
-    return _csv_text(
-        ["junction_id", "iteration", "measured_r_ohm", "inferred_f_ghz", "power_mw",
-         "sampled_shift", "outcome"],
-        rows,
-    )
+
+    def trace_text(trace) -> str:
+        texts = list(map(iteration_text, trace.iterations))
+        iterations = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
+        anneals = sum(it.recipe is not None for it in trace.iterations)
+        return (
+            f'{{\n      "f_target_ghz": {trace.target_f / 1e9!r},\n'
+            f'      "final_resistance_ohm": {trace.final_resistance!r},\n'
+            f'      "iterations": {iterations},\n      "junction_id": {_text(trace.junction_id)},\n'
+            f'      "n_anneals": {anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
+        )
+
+    shell = {"summary": traces_summary(traces), "traces": None}
+    yield from _json_list(shell, "traces", map(trace_text, traces))
+
+
+def traces_csv(traces: Sequence[TuneTrace]) -> str:
+    """The iterations as CSV, a line each; a trace whose strings csv.writer
+    would quote is written by it."""
+    lines = ["junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n"]
+    for trace in traces:
+        jid, outcome = trace.junction_id, trace.outcome
+        if _QUOTED(jid + outcome):
+            lines.append(_csv_text(
+                (jid, k, it.measured_r, it.inferred_f / 1e9,
+                 None if it.recipe is None else it.recipe.power, it.sampled_shift, outcome)
+                for k, it in enumerate(trace.iterations)
+            ))
+            continue
+        for k, it in enumerate(trace.iterations):
+            recipe, shift = it.recipe, it.sampled_shift
+            lines.append(
+                f"{jid},{k},{it.measured_r},{it.inferred_f / 1e9},"
+                f"{'' if recipe is None else recipe.power},{'' if shift is None else shift},"
+                f"{outcome}\n"
+            )
+    return "".join(lines)

@@ -108,14 +108,19 @@ class TuneTrace:
 def required_shift(f_now: float, f_target: float) -> float:
     """Fractional resistance increase taking f_now to f_target (exact).
 
-    Annealing cannot lower resistance, so f_target above f_now is refused.
+    Annealing cannot lower resistance, so f_target above f_now is refused. So
+    is an f_now whose resistance the frequency map underflows to zero (from
+    ~3.4e173 Hz up).
     """
     if f_target > f_now:
         raise InfeasibleError(
             f"target {f_target / 1e9:.6f} GHz is above the current "
             f"{f_now / 1e9:.6f} GHz; annealing only shifts frequency down"
         )
-    return resistance_for_frequency(f_target) / resistance_for_frequency(f_now) - 1.0
+    try:
+        return resistance_for_frequency(f_target) / resistance_for_frequency(f_now) - 1.0
+    except ZeroDivisionError:
+        raise DomainError(f"frequency {f_now:.6g} Hz is too large for the frequency map") from None
 
 
 def _shot_limits(model: DoseModel, exposure: float) -> tuple[float, LasingRecipe, float]:

@@ -214,7 +214,9 @@ def run_batch(
     visit, and if passed run the anneal with the centering error added to
     the recipe displacement. Excluded junctions keep their resistance and
     are reported, never dropped. The report is sorted by id and is
-    bit-identical under any processing order of the input.
+    bit-identical under any processing order of the input. A wafer on which
+    an annealed resistance overflows to infinity is refused, naming the
+    first such junction by id.
     """
     junctions = wafer.junctions
     rows = []
@@ -229,6 +231,12 @@ def run_batch(
         else:
             rows.append(BatchRow(junction.id, r_before, r_before, "excluded", 0.0))
     rows.sort(key=lambda row: row.id)
+    overflowed = next((row for row in rows if not row.r_after < math.inf), None)
+    if overflowed is not None:
+        raise DomainError(
+            f"wafer junction {overflowed.id!r}: resistance_ohm {overflowed.r_before:.6g} "
+            "anneals past the largest float"
+        )
     return BatchReport(
         wafer_id=wafer.wafer_id,
         entries=tuple(rows),

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files in, files out, stable exit codes."""
 
+import csv
 import json
 import math
 
@@ -143,6 +144,22 @@ class TestSimulateWafer:
         code = main(["--seed", "1", "simulate-wafer", write_wafer(tmp_path, wafer), str(path)])
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
+
+    def test_resistance_annealed_past_the_float_range_is_named(self, tmp_path, capsys):
+        junctions = (
+            jt.JunctionRecord(id="W-J0", design_xy=(0.0, 0.0), area=0.1, resistance=7781.0),
+            jt.JunctionRecord(id="W-J1", design_xy=(50.0, 0.0), area=0.1, resistance=1.79e308),
+        )
+        wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=2, pitch=50.0, junctions=junctions)
+        out = tmp_path / "out"
+        code = main(["--seed", "0", "--output", str(out), "simulate-wafer",
+                     write_wafer(tmp_path, wafer), write_recipe(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: wafer junction 'W-J1': resistance_ohm 1.79e+308 anneals past the "
+            "largest float\n"
+        )
+        assert not out.exists()
 
 
 class TestFit:
@@ -1112,3 +1129,43 @@ def test_flags_left_out_take_the_library_defaults(tmp_path, capsys, command):
         runs.append((files, capsys.readouterr().out))
     assert runs[0][0]
     assert runs[0] == runs[1]
+
+
+def test_ids_csv_quotes_and_json_escapes_survive_every_command(tmp_path, capsys, monkeypatch):
+    # The commands write these files from their records, never through the
+    # *_to_doc builders, and csv.writer writes each row whose id it quotes.
+    def built(*args):
+        raise AssertionError("a command built a document's row dicts")
+
+    for name in ("batch_report_to_doc", "plan_to_doc", "traces_to_doc"):
+        monkeypatch.setattr(jio, name, built)
+    ids = ['J0,"é"', 'J1 "ü",', "J2,Ä", 'J3\n"ø"', "plain-J4"]
+    junctions = tuple(
+        jt.JunctionRecord(id=jid, design_xy=(50.0 * k, 0.0), area=0.1, resistance=7781.0 + 40 * k)
+        for k, jid in enumerate(ids)
+    )
+    wafer = jt.WaferLayout(wafer_id='W,"ß"', rows=1, cols=len(ids), pitch=50.0,
+                           junctions=junctions)
+    wpath = write_wafer(tmp_path, wafer)
+    tpath = tmp_path / "targets.json"
+    jio.write_json(str(tpath), {"targets_ghz": {
+        j.id: (jt.qubit_frequency(j.resistance) - 60e6) / 1e9 for j in junctions}})
+    out = tmp_path / "out"
+    plan = out / "plan.json"
+    assert main(["--seed", "0", "--output", str(out), "simulate-wafer", wpath,
+                 write_recipe(tmp_path)]) == 0
+    assert main(["--output", str(plan), "plan", wpath, str(tpath)]) == 0
+    assert main(["--seed", "3", "--output", str(out), "--format", "csv", "tune", wpath,
+                 str(plan)]) == 0
+    capsys.readouterr()
+    for name in ("report.json", "plan.json", "traces.json"):
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert [entry["id"] for entry in report_doc(plan)["junctions"]] == sorted(ids)
+    for name, per_id in (("report.csv", 1), ("traces.csv", None)):
+        with open(out / name, encoding="utf-8", newline="") as handle:
+            column = [row[0] for row in csv.reader(handle)][1:]
+        assert sorted(set(column)) == sorted(ids)
+        assert column == sorted(column)  # rows stay in id order, each id's rows together
+        if per_id:
+            assert len(column) == len(ids)

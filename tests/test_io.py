@@ -1,6 +1,8 @@
 """Document schemas: JSON/CSV round trips, validation diagnostics, atomicity."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -11,8 +13,10 @@ from hypothesis import given, strategies as st
 import jjtune as jt
 import jjtune.io as jio
 from jjtune.cli import main
-from jjtune.dose import DoseModel, StochasticParams
+from jjtune.dose import DoseModel, LasingRecipe, StochasticParams
 from jjtune.errors import InfeasibleError, SchemaError
+from jjtune.tuner import TuneIteration, TuneTrace
+from jjtune.wafer import BatchReport, BatchRow
 
 
 KEYS = st.text(max_size=6) | st.sampled_from(["}", "{", "},\n  {", "},\n    {", "\n", "é", "ключ", ""])
@@ -663,3 +667,81 @@ def test_plan_and_traces_files_equal_indented_json_dumps(tmp_path, capsys):
     junctions, traces = docs["plan.json"]["junctions"], docs["traces.json"]["traces"]
     assert len(junctions) == len(traces) == 81
     assert any(it["power_mw"] is None for trace in traces for it in trace["iterations"])
+
+
+# ---------------------------------------------- record renderers against the builders
+
+# Strings csv.writer quotes or json escapes, and a wafer id holding the text the
+# renderers look for in their document shell.
+RECORD_IDS = st.text(max_size=6) | st.sampled_from(
+    [",", '"', "\n", "\r", "\\", "é", "ключ", "", 'a,"b"\r\n', '\n  "junctions": null'])
+RECORD_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -3.5e17, 1.7976931348623157e308])
+# One value in 20 sends its record set to the generic encoder: a non-finite
+# float, an integer or a numpy float. The rest keep many sets on the renderers' own path.
+ODD_NUMBERS = (st.sampled_from([math.inf, -math.inf, math.nan]) | st.integers(-10**6, 10**6)
+               | RECORD_FLOATS.map(np.float64))
+RECORD_NUMBERS = st.sampled_from([RECORD_FLOATS] * 19 + [ODD_NUMBERS]).flatmap(lambda s: s)
+RECIPES = st.builds(
+    LasingRecipe,
+    power=st.floats(0.0, 49.9) | st.sampled_from([5e-324, 12]),
+    exposure=st.floats(5e-324, 1e300) | st.sampled_from([60.0, 1e16]),
+    repetitions=st.integers(1, 10**6),
+    displacement=st.floats(0.0, 1e300) | st.sampled_from([-0.0, 5e-324]),
+)
+REPORTS = st.builds(
+    BatchReport,
+    wafer_id=RECORD_IDS,
+    entries=st.lists(st.builds(BatchRow, RECORD_IDS, RECORD_NUMBERS, RECORD_NUMBERS,
+                               RECORD_IDS | st.sampled_from(["passed", "excluded"]),
+                               RECORD_NUMBERS), max_size=6).map(tuple),
+    master_seed=st.integers(0, 2**64),
+)
+PLAN_ENTRIES = st.lists(st.tuples(RECORD_IDS, RECORD_NUMBERS, RECORD_NUMBERS, RECORD_NUMBERS,
+                                  st.lists(RECIPES, max_size=3)), max_size=6)
+ITERATIONS = st.builds(TuneIteration, RECORD_NUMBERS, RECORD_NUMBERS,
+                       st.none() | RECIPES, st.none() | RECORD_NUMBERS)
+TRACES = st.lists(st.builds(
+    TuneTrace, RECORD_IDS, RECORD_NUMBERS, st.lists(ITERATIONS, max_size=4).map(tuple),
+    st.sampled_from(["converged", "overshoot", "exhausted"]), RECORD_NUMBERS,
+), max_size=6)
+
+
+def _csv_writer_text(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _plan_docs(entries):
+    return [{"id": jid, "f_now_ghz": f_now / 1e9, "f_target_ghz": f_target / 1e9,
+             "required_shift_frac": shift, "shots": [jio.recipe_to_doc(shot) for shot in shots]}
+            for jid, f_now, f_target, shift, shots in entries]
+
+
+class TestRecordRenderers:
+    @given(REPORTS)
+    def test_report_texts_equal_the_builders(self, report):
+        assert "".join(jio.batch_report_json(report)) == jio.json_text(
+            jio.batch_report_to_doc(report))
+        assert jio.batch_report_csv(report) == _csv_writer_text(
+            ["id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac"], report.entries)
+
+    @given(RECORD_IDS, PLAN_ENTRIES)
+    def test_plan_text_equals_the_builder(self, wafer_id, entries):
+        assert "".join(jio.plan_json(wafer_id, entries)) == jio.json_text(
+            jio.plan_to_doc(wafer_id, _plan_docs(entries)))
+
+    @given(TRACES)
+    def test_traces_texts_equal_the_builders(self, traces):
+        doc = jio.traces_to_doc(traces)
+        assert "".join(jio.traces_json(traces)) == jio.json_text(doc)
+        assert jio.traces_summary(traces) == doc["summary"]
+        rows = ((trace.junction_id, k, it.measured_r, it.inferred_f / 1e9,
+                 None if it.recipe is None else it.recipe.power, it.sampled_shift, trace.outcome)
+                for trace in traces for k, it in enumerate(trace.iterations))
+        assert jio.traces_csv(traces) == _csv_writer_text(
+            ["junction_id", "iteration", "measured_r_ohm", "inferred_f_ghz", "power_mw",
+             "sampled_shift", "outcome"], rows)

@@ -13,6 +13,9 @@ import tracemalloc
 import pytest
 
 import jjtune.io as jio
+from jjtune.dose import LasingRecipe
+from jjtune.tuner import TuneIteration, TuneTrace
+from jjtune.wafer import BatchReport, BatchRow
 
 
 def _records(n: int, seed: int = 0) -> list[dict]:
@@ -60,6 +63,47 @@ def test_write_json_holds_less_than_half_its_text(tmp_path):
     tracemalloc.start()
     try:
         jio.write_json(str(tmp_path / "doc.json"), doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2
+
+
+def _report(n: int) -> BatchReport:
+    rows = tuple(BatchRow(f"W-J{k:05d}", 7781.0 + k / 3, 7800.0 + k / 7, "passed", k / 3e5)
+                 for k in range(n))
+    return BatchReport("W", rows, 0)
+
+
+_SHOTS = (LasingRecipe(power=31.5), LasingRecipe(power=12.25))
+
+
+def _plan_entries(n: int) -> list[tuple]:
+    return [(f"W-J{k:05d}", 5.1e9 + k, 5.0e9 + k / 3, k / 7e4, _SHOTS[:k % 3]) for k in range(n)]
+
+
+def _traces(n: int) -> list[TuneTrace]:
+    def iterations(k):
+        return (TuneIteration(7781.0 + k, 5.1e9 + k / 3, _SHOTS[0], 0.01 + k / 1e7),
+                TuneIteration(7881.0 + k, 5.05e9 + k / 3, _SHOTS[1], 0.002 + k / 1e7),
+                TuneIteration(7901.0 + k, 5.0e9 + k / 3, None, None))
+
+    return [TuneTrace(f"W-J{k:05d}", 5.0e9 + k / 9, iterations(k), "converged", 7901.0 + k / 11)
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("render", [
+    lambda: jio.batch_report_json(_report(12000)),
+    lambda: jio.plan_json("W", _plan_entries(6000)),
+    lambda: jio.traces_json(_traces(2500)),
+], ids=["report", "plan", "traces"])
+def test_record_writers_hold_less_than_half_their_text(tmp_path, render):
+    size = len("".join(render()))
+    assert size > 1_800_000
+    pieces = render()  # the records are made before tracing starts
+    tracemalloc.start()
+    try:
+        jio.atomic_write_text(str(tmp_path / "doc.json"), pieces)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

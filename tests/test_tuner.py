@@ -38,6 +38,12 @@ class TestRequiredShift:
         with pytest.raises(InfeasibleError):
             jt.required_shift(F0, F0 + 1e6)
 
+    @pytest.mark.parametrize("f_now, f_target", [(1e180, 1e179), (3.5e173, 3.5e173), (1e187, 1e9)])
+    def test_current_frequency_whose_resistance_underflows_is_refused(self, f_now, f_target):
+        assert jt.resistance_for_frequency(f_now) == 0.0
+        with pytest.raises(DomainError, match="too large for the frequency map"):
+            jt.required_shift(f_now, f_target)
+
     @given(st.floats(min_value=1e5, max_value=200e6))
     def test_round_trip_through_frequency(self, df):
         shift = jt.required_shift(F0, F0 - df)
