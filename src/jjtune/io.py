@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io as _io
 import itertools
 import json
@@ -94,145 +93,19 @@ _BLOCK = 1 << 17  # bytes of the written file's buffer: its size per file write
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)  # a non-empty one is nested: indent=2 opens it up
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_CHUNK = 64  # values per C encoder call; larger chunks only raise peak memory
-_BATCH = 256  # flat dicts per C encoder call in lists of them
-
-
-@functools.lru_cache(maxsize=32)
-def _encoder(depth: int) -> json.JSONEncoder:
-    """C-backed encoder whose item separator breaks to ``depth`` indents.
-
-    Without ``indent`` json keeps its C encoder; the separator alone lays
-    out the items of one flat container exactly as ``indent=2`` would.
-    """
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": "))
-
-
-def _dict_lists(values: Sequence) -> bool:
-    """True when every value is a non-empty list or tuple of non-empty dicts
-    that hold no nested value."""
-    if not all(isinstance(value, (list, tuple)) and value for value in values):
-        return False
-    dicts = list(itertools.chain.from_iterable(values))
-    if set(map(type, dicts)) != {dict} or not all(dicts):
-        return False
-
-    def items():  # two passes over the values, without a list as long as all of them
-        return itertools.chain.from_iterable(map(dict.values, dicts))
-
-    return (_SCALAR_TYPES.issuperset(map(type, items()))
-            or not any(isinstance(item, _CONTAINERS) and item for item in items()))
-
-
-def _dict_list_pieces(lists: Sequence[Sequence[dict]], depth: int) -> Iterator[Iterable[str]]:
-    """The text of each of ``lists`` of flat dicts, nested ``depth`` levels
-    deep: whole, from one C encoder call for all of them, when they hold at
-    most ``_BATCH`` dicts; else in pieces, one call and one piece per
-    ``_BATCH`` dicts of each list."""
-    pad, inner_pad, dict_pad = _INDENT * depth, _INDENT * (depth + 1), _INDENT * (depth + 2)
-    encoder, dicts = _encoder(depth + 2), "},\n" + dict_pad + "{"
-    head, tail = f"[\n{inner_pad}{{\n{dict_pad}", f"\n{inner_pad}}}\n{pad}]"
-    between = f"\n{inner_pad}}},\n{inner_pad}{{\n{dict_pad}"
-    if sum(map(len, lists)) <= _BATCH:
-        # "[[{" ... "}]]": break the dicts open, then split at the lists.
-        text = encoder.encode(lists)[3:-3].replace(dicts, between)
-        for part in text.split("}],\n" + dict_pad + "[{"):
-            yield (f"{head}{part}{tail}",)
-        return
-    for value in lists:
-        parts = (value[start:start + _BATCH] for start in range(0, len(value), _BATCH))
-        texts = (encoder.encode(part)[2:-2].replace(dicts, between) for part in parts)
-        yield itertools.chain((head + next(texts),), (between + text for text in texts), (tail,))
-
-
-def _spliced(pieces: list[str], at: int, end: int, slots: Sequence[int],
-             inner: Iterator[Iterable[str]], separator: str) -> Iterator[str]:
-    """``pieces[at:end]`` joined by separator, with the pieces of the next of
-    ``inner`` in place of the last null in each of ``slots``."""
-    for slot in slots:
-        nested = next(inner)
-        head, _, tail = pieces[slot].rpartition("null")
-        pieces[slot] = head
-        yield separator.join(pieces[at:slot + 1])
-        yield from nested
-        pieces[slot], at = tail, slot
-    yield separator.join(pieces[at:end])
-
-
-def _encode(values: Sequence, depth: int, seen: set) -> Iterator[Iterable[str]]:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for each of
-    ``values``, nested ``depth`` levels deep, encoded one level at a time:
-    an iterable of its pieces, made as they are asked for, to be used up
-    before the next value is asked for.
-
-    A chunk of values that are lists of flat dicts takes one C encoder call
-    per ``_BATCH`` dicts. Any other chunk of values takes one call over
-    stubs, each container with its nested values as null. Those nested
-    values, one level down, take one recursion per chunk, and their pieces
-    go in at the nulls. Encoded strings never contain a raw newline,
-    so every ",\\n<pad>" in a C encoder's output is an item separator.
-
-    ``seen`` holds the id of each container met that holds a nested value.
-    One met again is shared or on a cycle; the C encoder's own check on it
-    raises ``ValueError`` for a cycle, as ``json.dumps`` does.
-    """
-    pad, inner_pad = _INDENT * depth, _INDENT * (depth + 1)
-    separator = ",\n" + inner_pad
-    for start in range(0, len(values), _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        if _dict_lists(chunk):
-            yield from _dict_list_pieces(chunk, depth)
-            continue
-        # (first piece, item count, slots of nested values) per value; a scalar
-        # or an empty container is one piece.
-        stubs, spans, nested = [], [], []
-        at = 0
-        for value in chunk:
-            size = len(value) if isinstance(value, _CONTAINERS) else 0
-            stub, slots = value, []
-            items = value.values() if isinstance(value, dict) else value
-            if size and not _SCALAR_TYPES.issuperset(map(type, items)):
-                keys = sorted(value) if isinstance(value, dict) else range(size)
-                for slot, key in enumerate(keys, at):
-                    item = value[key]
-                    if isinstance(item, _CONTAINERS) and item:
-                        if stub is value:
-                            if id(value) in seen:  # shared, or on a cycle
-                                _encoder(depth).encode(value)  # raises on a cycle
-                            seen.add(id(value))
-                            stub = dict(value) if isinstance(value, dict) else list(value)
-                        stub[key] = None
-                        slots.append(slot)
-                        nested.append(item)
-            stubs.append(stub)
-            spans.append((at, size, slots))
-            at += size or 1
-        pieces = _encoder(depth + 1).encode(stubs)[1:-1].split(separator)
-        inner = _encode(nested, depth + 1, seen)
-        for at, size, slots in spans:
-            end = at + (size or 1)
-            if size:  # the brackets, while the end pieces are short
-                first = pieces[at]
-                pieces[at] = f"{first[0]}\n{inner_pad}{first[1:]}"
-                last = pieces[end - 1]
-                pieces[end - 1] = f"{last[:-1]}\n{pad}{last[-1]}"
-            if slots:
-                yield _spliced(pieces, at, end, slots, inner, separator)
-            else:
-                yield (separator.join(pieces[at:end]),)
+# With an indent, json encodes in Python, for iterencode as for json.dumps,
+# so its text is exactly json.dumps(doc, indent=2, sort_keys=True).
+_ENCODER = json.JSONEncoder(indent=_INDENT, sort_keys=True)
 
 
 def _json_pieces(doc: Any) -> Iterator[str]:
     """``json_text(doc)`` in pieces, made as they are asked for."""
-    yield from next(_encode([doc], 0, set()))
-    yield "\n"
+    return itertools.chain(_ENCODER.iterencode(doc), "\n")
 
 
 def json_text(doc: Any) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, mostly in C."""
-    return "".join(_json_pieces(doc))
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+    return _ENCODER.encode(doc) + "\n"
 
 
 def write_json(path: str, doc: Any) -> None:
@@ -243,8 +116,8 @@ def write_json(path: str, doc: Any) -> None:
 # The record renderers (batch_report_json, plan_json, traces_json) spell out
 # each record of a document's list with one f-string, its keys in sorted
 # order, its strings through encode_basestring_ascii and its floats through
-# repr, as the C encoder writes them. That holds for records of plain str and
-# finite float values; any other record set takes the generic encoder over
+# repr, as json's encoder writes them. That holds for records of plain str
+# and finite float values; any other record set takes json's encoder over
 # the document its *_to_doc builds.
 
 _text = json.encoder.encode_basestring_ascii
@@ -462,7 +335,8 @@ def recipe_to_doc(recipe: LasingRecipe) -> dict:
 _REPORT_KEYS = ("id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac")
 
 
-def batch_report_to_doc(report: BatchReport) -> dict:
+def _report_doc(report: BatchReport, junctions: list | None) -> dict:
+    """The report's document, with ``junctions`` as its list of rows."""
     n_passed = sum(row.qc_status == "passed" for row in report.entries)
     return {
         "wafer_id": report.wafer_id,
@@ -471,12 +345,16 @@ def batch_report_to_doc(report: BatchReport) -> dict:
         "n_junctions": len(report.entries),
         "n_passed": n_passed,
         "n_excluded": len(report.entries) - n_passed,
-        "junctions": [
-            {"id": jid, "r_before_ohm": r_before, "r_after_ohm": r_after,
-             "qc_status": status, "shift_frac": shift}
-            for jid, r_before, r_after, status, shift in report.entries
-        ],
+        "junctions": junctions,
     }
+
+
+def batch_report_to_doc(report: BatchReport) -> dict:
+    return _report_doc(report, [
+        {"id": jid, "r_before_ohm": r_before, "r_after_ohm": r_after,
+         "qc_status": status, "shift_frac": shift}
+        for jid, r_before, r_after, status, shift in report.entries
+    ])
 
 
 _ROW_STRINGS = operator.itemgetter(0, 3)
@@ -489,23 +367,13 @@ def batch_report_json(report: BatchReport) -> Iterator[str]:
     if not _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries)):
         yield from _json_pieces(batch_report_to_doc(report))
         return
-    n_passed = sum(row.qc_status == "passed" for row in entries)
-    shell = {
-        "wafer_id": report.wafer_id,
-        "master_seed": report.master_seed,
-        "estimated_wall_time_s": report.estimated_wall_time_s,
-        "n_junctions": len(entries),
-        "n_passed": n_passed,
-        "n_excluded": len(entries) - n_passed,
-        "junctions": None,
-    }
     items = (
         f'{{\n      "id": {_text(jid)},\n      "qc_status": {_text(status)},\n'
         f'      "r_after_ohm": {after!r},\n      "r_before_ohm": {before!r},\n'
         f'      "shift_frac": {shift!r}\n    }}'
         for jid, before, after, status, shift in entries
     )
-    yield from _json_list(shell, "junctions", items)
+    yield from _json_list(_report_doc(report, None), "junctions", items)
 
 
 def _csv_text(rows: Iterable[Sequence]) -> str:
@@ -515,17 +383,20 @@ def _csv_text(rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-_QUOTED = re.compile('[,"\r\n]').search  # finds what makes csv.writer quote a field
+_QUOTED = re.compile('[,"\r\n]').search  # finds what a CSV field must quote
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, its quotes doubled, when _QUOTED finds
+    a character in it; else as it is."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED(text) else text
 
 
 def batch_report_csv(report: BatchReport) -> str:
-    """The report as CSV, a line per row; a row whose strings csv.writer would
-    quote is written by it."""
+    """The report as CSV, a line per row."""
     lines = [",".join(_REPORT_KEYS) + "\n"]
-    for row in report.entries:
-        jid, before, after, status, shift = row
-        lines.append(_csv_text([row]) if _QUOTED(jid + status)
-                     else f"{jid},{before},{after},{status},{shift}\n")
+    for jid, before, after, status, shift in report.entries:
+        lines.append(f"{_csv_field(jid)},{before},{after},{_csv_field(status)},{shift}\n")
     return "".join(lines)
 
 
@@ -870,42 +741,27 @@ def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
 
 
 def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
-    outcomes = {"converged": 0, "overshoot": 0, "exhausted": 0}
-    total_anneals = 0
-    rendered = []
-    for trace in traces:
-        outcomes[trace.outcome] += 1
-        anneals = sum(1 for it in trace.iterations if it.recipe is not None)
-        total_anneals += anneals
-        rendered.append(
-            {
-                "junction_id": trace.junction_id,
-                "f_target_ghz": trace.target_f / 1e9,
-                "outcome": trace.outcome,
-                "final_resistance_ohm": trace.final_resistance,
-                "n_anneals": anneals,
-                "iterations": [
-                    {
-                        "measured_r_ohm": it.measured_r,
-                        "inferred_f_ghz": it.inferred_f / 1e9,
-                        "power_mw": None if it.recipe is None else it.recipe.power,
-                        "exposure_s": None if it.recipe is None else it.recipe.exposure,
-                        "sampled_shift": it.sampled_shift,
-                    }
-                    for it in trace.iterations
-                ],
-            }
-        )
-    n = max(len(traces), 1)
-    summary = {
-        "n_junctions": len(traces),
-        "n_converged": outcomes["converged"],
-        "n_overshoot": outcomes["overshoot"],
-        "n_exhausted": outcomes["exhausted"],
-        "convergence_fraction": outcomes["converged"] / n,
-        "mean_anneals": total_anneals / n,
-    }
-    return {"summary": summary, "traces": rendered}
+    rendered = [
+        {
+            "junction_id": trace.junction_id,
+            "f_target_ghz": trace.target_f / 1e9,
+            "outcome": trace.outcome,
+            "final_resistance_ohm": trace.final_resistance,
+            "n_anneals": sum(it.recipe is not None for it in trace.iterations),
+            "iterations": [
+                {
+                    "measured_r_ohm": it.measured_r,
+                    "inferred_f_ghz": it.inferred_f / 1e9,
+                    "power_mw": None if it.recipe is None else it.recipe.power,
+                    "exposure_s": None if it.recipe is None else it.recipe.exposure,
+                    "sampled_shift": it.sampled_shift,
+                }
+                for it in trace.iterations
+            ],
+        }
+        for trace in traces
+    ]
+    return {"summary": traces_summary(traces), "traces": rendered}
 
 
 def traces_summary(traces: Sequence[TuneTrace]) -> dict:
@@ -972,18 +828,10 @@ def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
 
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:
-    """The iterations as CSV, a line each; a trace whose strings csv.writer
-    would quote is written by it."""
+    """The iterations as CSV, a line each."""
     lines = ["junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n"]
     for trace in traces:
-        jid, outcome = trace.junction_id, trace.outcome
-        if _QUOTED(jid + outcome):
-            lines.append(_csv_text(
-                (jid, k, it.measured_r, it.inferred_f / 1e9,
-                 None if it.recipe is None else it.recipe.power, it.sampled_shift, outcome)
-                for k, it in enumerate(trace.iterations)
-            ))
-            continue
+        jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
         for k, it in enumerate(trace.iterations):
             recipe, shift = it.recipe, it.sampled_shift
             lines.append(

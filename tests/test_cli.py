@@ -161,6 +161,21 @@ class TestSimulateWafer:
         )
         assert not out.exists()
 
+    def test_id_with_a_bare_carriage_return_reads_back_from_the_csv(self, tmp_path, capsys):
+        junctions = (
+            jt.JunctionRecord(id="J\r1", design_xy=(0.0, 0.0), area=0.1, resistance=7781.0),
+            jt.JunctionRecord(id="J2", design_xy=(50.0, 0.0), area=0.1, resistance=7821.0),
+        )
+        wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=2, pitch=50.0, junctions=junctions)
+        out = tmp_path / "out"
+        assert main(["--seed", "0", "--output", str(out), "simulate-wafer",
+                     write_wafer(tmp_path, wafer), write_recipe(tmp_path)]) == 0
+        with open(out / "report.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac"]
+        assert [row[0] for row in rows[1:]] == ["J\r1", "J2"]
+        assert all(len(row) == 5 for row in rows)
+
 
 class TestFit:
     def test_dose_noiseless(self, tmp_path, capsys):
@@ -1133,7 +1148,7 @@ def test_flags_left_out_take_the_library_defaults(tmp_path, capsys, command):
 
 def test_ids_csv_quotes_and_json_escapes_survive_every_command(tmp_path, capsys, monkeypatch):
     # The commands write these files from their records, never through the
-    # *_to_doc builders, and csv.writer writes each row whose id it quotes.
+    # *_to_doc builders, and quote each CSV field that needs it.
     def built(*args):
         raise AssertionError("a command built a document's row dicts")
 

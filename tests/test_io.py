@@ -708,11 +708,14 @@ TRACES = st.lists(st.builds(
 
 
 def _csv_writer_text(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # A "\r\n" terminator makes csv.writer quote a bare "\r" as well; each
+    # line then ends in "\n".
+    lines = []
+    for row in (header, *rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def _plan_docs(entries):

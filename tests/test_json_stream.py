@@ -2,8 +2,8 @@
 
 ``write_json`` encodes a document while it writes it, so no output is ever
 held whole. These cases cover what the hypothesis strategies in
-``test_io.py`` never draw: lists of flat dicts longer than one encoder
-batch, the memory the writer holds, and errors met after blocks were written.
+``test_io.py`` never draw: long lists of flat dicts, alone and nested, the
+memory the writer holds, and errors met after blocks were written.
 """
 
 import json
@@ -37,14 +37,14 @@ def _records(n: int, seed: int = 0) -> list[dict]:
     ]
 
 
-LONG = 3 * jio._BATCH + 7
+LONG = 3 * 256 + 7
 
 
 @pytest.mark.parametrize("make", [
     lambda: _records(LONG),
     lambda: {"junctions": _records(LONG), "wafer_id": "W"},
     lambda: {"a": {"b": _records(LONG), "c": [_records(5, 1), _records(LONG, 2), _records(1, 3)]}},
-    lambda: [_records(jio._BATCH), _records(jio._BATCH + 1, 1), _records(2, 2)],
+    lambda: [_records(256), _records(256 + 1, 1), _records(2, 2)],
     lambda: {"traces": [{"iterations": _records(LONG, k), "k": k} for k in range(3)]},
 ], ids=["root", "nested", "deeper", "batch-edges", "in-records"])
 def test_long_flat_dict_lists_equal_indented_json_dumps(tmp_path, make):
