@@ -376,13 +376,6 @@ def batch_report_json(report: BatchReport) -> Iterator[str]:
     yield from _json_list(_report_doc(report, None), "junctions", items)
 
 
-def _csv_text(rows: Iterable[Sequence]) -> str:
-    """CSV text; the writer renders each field with str, and None as an empty field."""
-    buffer = _io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
-
-
 _QUOTED = re.compile('[,"\r\n]').search  # finds what a CSV field must quote
 
 
@@ -552,7 +545,9 @@ def map_csv(spectro: SpectroMap) -> str:
     """Matrix CSV: offsets (MHz) across the header, times (hours) down."""
     header = ["time_h"] + [float(v) / 1e6 for v in spectro.freq_offsets]
     rows = ([t, *row] for t, row in zip(spectro.times.tolist(), spectro.population.tolist()))
-    return _csv_text(itertools.chain([header], rows))
+    buffer = _io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(itertools.chain([header], rows))
+    return buffer.getvalue()
 
 
 def _numeric_map(handle) -> tuple | None:
