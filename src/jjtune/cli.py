@@ -99,22 +99,20 @@ def _fit_or_partial(fitter, *args) -> FitResult:
         return exc.fit
 
 
-def _fit_rows(path: str, columns: list[str], kind: str) -> tuple[np.ndarray, list]:
-    """The fit CSV's rows and its first column, which must hold at least 2
-    distinct values (exit 2): one value identifies no curve along it."""
-    rows = jio.read_columns_csv(path, columns)
-    inputs = np.array([row[0] for row in rows])
-    if np.unique(inputs).size < 2:
+def _fit_columns(path: str, columns: list[str], kind: str) -> list[np.ndarray]:
+    """The fit CSV's columns, one contiguous array each. The first must hold
+    at least 2 distinct values (exit 2): one value identifies no curve along it."""
+    arrays = [np.array(column) for column in zip(*jio.read_columns_csv(path, columns))]
+    if np.unique(arrays[0]).size < 2:
         raise SchemaError(f"{path}: need at least 2 distinct values in column '{columns[0]}' "
                           f"to fit {kind}")
-    return inputs, rows
+    return arrays
 
 
 def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    powers, rows = _fit_rows(path, ["power_mw", "shift_frac"], "dose")
-    shifts = np.array([row[1] for row in rows])
+    powers, shifts = _fit_columns(path, ["power_mw", "shift_frac"], "dose")
     heating = default_dose_model().heating
 
     def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,8 +133,7 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .dose import absorption_fraction
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    displacement, rows = _fit_rows(path, ["displacement_um", "response_frac"], "displacement")
-    response = np.array([row[1] for row in rows])
+    displacement, response = _fit_columns(path, ["displacement_um", "response_frac"], "displacement")
     beam = default_dose_model().beam
 
     absorbed = np.array([absorption_fraction(v, beam) for v in displacement.tolist()])
@@ -158,8 +155,9 @@ def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
     from .fitkit import Dataset, ModelSpec, fit_curve
 
-    thickness, rows = _fit_rows(path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
-    resistance_area = np.array([row[1] * row[2] for row in rows])
+    thickness, area, resistance = _fit_columns(
+        path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
+    resistance_area = area * resistance
 
     def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
         return p[0] * np.exp(t / p[1])
@@ -214,6 +212,10 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
     return _fit_or_partial(fit_aging, *series), _AGING_SPEC.parameter_names
 
 
+_FITS = {"dose": _fit_dose, "displacement": _fit_displacement, "stark": _fit_stark_cmd,
+         "barrier": _fit_barrier}  # the fits of one CSV path; aging also reads its filters
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     out_path = args.output or "fit_report.json"
     if args.kind == "tls":
@@ -223,17 +225,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         print(doc["outcome"])
         return 0
 
-    if args.kind == "aging":
-        fit, names = _fit_aging_cmd(args)
-    elif args.kind == "dose":
-        fit, names = _fit_dose(args.data)
-    elif args.kind == "displacement":
-        fit, names = _fit_displacement(args.data)
-    elif args.kind == "stark":
-        fit, names = _fit_stark_cmd(args.data)
-    else:
-        fit, names = _fit_barrier(args.data)
-
+    fit, names = _fit_aging_cmd(args) if args.kind == "aging" else _FITS[args.kind](args.data)
     doc = jio.fit_report_doc(
         args.kind, names, fit.params, fit.std_errors, fit.residual_norm, fit.converged,
         fit.iterations,

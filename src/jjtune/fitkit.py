@@ -139,12 +139,8 @@ def _covariance_std(jtj: np.ndarray, s2: float) -> np.ndarray:
     if wmax <= 0.0:
         return np.full(jtj.shape[0], np.inf)
     ok = w > _RCOND * wmax
-    std = np.empty(jtj.shape[0])
-    for j in range(jtj.shape[0]):
-        if np.any(np.abs(v[j, ~ok]) > 1e-8):
-            std[j] = np.inf
-        else:
-            std[j] = np.sqrt(s2 * float(np.sum(v[j, ok] ** 2 / w[ok])))
+    std = np.sqrt(s2 * np.sum(v[:, ok] ** 2 / w[ok], axis=1))
+    std[np.any(np.abs(v[:, ~ok]) > 1e-8, axis=1)] = np.inf
     return std
 
 

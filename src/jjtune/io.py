@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io as _io
 import itertools
 import json
 import math
@@ -151,6 +150,13 @@ def _json_list(shell: dict, key: str, items: Iterator[str]) -> Iterator[str]:
     for chunk in chunks:
         yield separator + separator.join(chunk)
     yield f"\n{_INDENT}]{tail}"
+
+
+def _nested(texts: Iterable[str]) -> str:
+    """The text of a list inside a ``_json_list`` item, from its items' texts,
+    none of them empty."""
+    body = ",\n        ".join(texts)
+    return f"[\n        {body}\n      ]" if body else "[]"
 
 
 @contextlib.contextmanager
@@ -542,12 +548,12 @@ def noise_model_from_doc(doc: dict) -> QubitNoiseModel:
 
 
 def map_csv(spectro: SpectroMap) -> str:
-    """Matrix CSV: offsets (MHz) across the header, times (hours) down."""
-    header = ["time_h"] + [float(v) / 1e6 for v in spectro.freq_offsets]
-    rows = ([t, *row] for t, row in zip(spectro.times.tolist(), spectro.population.tolist()))
-    buffer = _io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(itertools.chain([header], rows))
-    return buffer.getvalue()
+    """Matrix CSV: offsets (MHz) across the header, times (hours) down, a
+    line per row. No field of a map needs quoting."""
+    lines = [",".join(["time_h", *(repr(v / 1e6) for v in spectro.freq_offsets.tolist())]) + "\n"]
+    lines += (",".join(map(repr, [t, *row.tolist()])) + "\n"
+              for t, row in zip(spectro.times.tolist(), spectro.population))
+    return "".join(lines)
 
 
 def _numeric_map(handle) -> tuple | None:
@@ -618,26 +624,18 @@ def _map_from_rows(rows: list[list[str]], path: str) -> tuple:
     return offsets, times, population
 
 
+# Each defect parameter's key, and its unit in SI (Hz, or 1/s for gamma_1q).
+_DEFECT_UNITS = (("f_offset_mhz", 1e6), ("coupling_g_khz", 1e3), ("gamma_total_mhz", 1e6),
+                 ("gamma_1q_per_s", 1.0))
+
+
 def extraction_to_doc(extraction: TlsExtraction, wait: float) -> dict:
-    defects = []
-    for fit in extraction.defects:
-        f0, g, gamma, g1q = (float(v) for v in fit.params)
-        errs = [float(v) for v in fit.std_errors]
-        defects.append(
-            {
-                "f_offset_mhz": f0 / 1e6,
-                "coupling_g_khz": g / 1e3,
-                "gamma_total_mhz": gamma / 1e6,
-                "gamma_1q_per_s": g1q,
-                "std_errors": {
-                    "f_offset_mhz": errs[0] / 1e6,
-                    "coupling_g_khz": errs[1] / 1e3,
-                    "gamma_total_mhz": errs[2] / 1e6,
-                    "gamma_1q_per_s": errs[3],
-                },
-                "residual_norm": fit.residual_norm,
-            }
-        )
+    def units(values) -> dict:
+        pairs = zip(_DEFECT_UNITS, values, strict=True)
+        return {key: float(v) / scale for (key, scale), v in pairs}
+
+    defects = [{**units(fit.params), "std_errors": units(fit.std_errors),
+                "residual_norm": fit.residual_norm} for fit in extraction.defects]
     return {
         "wait_s": wait,
         "persistent_defect": extraction.persistent,
@@ -716,20 +714,17 @@ def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
         return
     del shots
 
-    def shots_text(shots) -> str:
-        if not shots:
-            return "[]"
-        return "[\n        " + ",\n        ".join(
+    def shot_text(shot) -> str:
+        return (
             f'{{\n          "displacement_um": {shot.displacement!r},\n'
             f'          "exposure_s": {shot.exposure!r},\n          "power_mw": {shot.power!r},\n'
             f'          "repetitions": {shot.repetitions!r}\n        }}'
-            for shot in shots
-        ) + "\n      ]"
+        )
 
     items = (
         f'{{\n      "f_now_ghz": {now / 1e9!r},\n      "f_target_ghz": {target / 1e9!r},\n'
         f'      "id": {_text(jid)},\n      "required_shift_frac": {shift!r},\n'
-        f'      "shots": {shots_text(shots)}\n    }}'
+        f'      "shots": {_nested(map(shot_text, shots))}\n    }}'
         for jid, now, target, shift, shots in entries
     )
     yield from _json_list({"wafer_id": wafer_id, "junctions": None}, "junctions", items)
@@ -808,8 +803,7 @@ def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
         )
 
     def trace_text(trace) -> str:
-        texts = list(map(iteration_text, trace.iterations))
-        iterations = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
+        iterations = _nested(map(iteration_text, trace.iterations))
         anneals = sum(it.recipe is not None for it in trace.iterations)
         return (
             f'{{\n      "f_target_ghz": {trace.target_f / 1e9!r},\n'

@@ -296,35 +296,33 @@ def iterative_tune(
                 f"is at or beyond the zero-frequency bound {max_resistance():.6g} ohm"
             ) from None
 
+        recipe = sampled = None
         if abs(inferred - f_target) <= band:
-            rows.append(TuneIteration(measured, inferred, None, None))
             outcome = "converged"
-            break
-        if inferred < f_target:
+        elif inferred < f_target:
             if iteration == 0:
                 # One-directional process: the target is already above us.
                 required_shift(inferred, f_target)  # raises InfeasibleError
-            rows.append(TuneIteration(measured, inferred, None, None))
             outcome = "overshoot"
-            break
-
-        step = min(
-            policy.step_fraction * (r_target / r_hat - 1.0),
-            r_aim / r_hat - 1.0,
-            mu_ceiling,
-        )
-        if step <= 1e-9:
-            # Fused estimate says we are at the aim point but outside the
-            # band: hold and let another measurement refine the estimate.
-            rows.append(TuneIteration(measured, inferred, None, None))
-            continue
-        recipe = LasingRecipe(power=power_for_shift(step, model, exposure), exposure=exposure)
-        state = apply_anneal(state, recipe, rng, model)
-        sampled = state.history[-1].shift
+        else:
+            step = min(
+                policy.step_fraction * (r_target / r_hat - 1.0),
+                r_aim / r_hat - 1.0,
+                mu_ceiling,
+            )
+            # At or below 1e-9 the fused estimate says we are at the aim point
+            # but outside the band: hold and let another measurement refine it.
+            if not step <= 1e-9:
+                recipe = LasingRecipe(power=power_for_shift(step, model, exposure),
+                                      exposure=exposure)
+                state = apply_anneal(state, recipe, rng, model)
+                sampled = state.history[-1].shift
+                # Dead-reckon earlier measurements forward by the commanded step.
+                commanded = math.log1p(step)
+                fused_logs = [value + commanded for value in fused_logs]
         rows.append(TuneIteration(measured, inferred, recipe, sampled))
-        # Dead-reckon earlier measurements forward by the commanded step.
-        commanded = math.log1p(step)
-        fused_logs = [value + commanded for value in fused_logs]
+        if outcome != "exhausted":
+            break
 
     return TuneTrace(
         junction_id=junction_id,

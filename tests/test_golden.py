@@ -151,3 +151,22 @@ def test_five_defect_tls_fit_matches_golden_digest(tmp_path):
     assert main(["--output", str(out), "fit", "tls", map_csv, "--max-defects", "6"]) == 0
     assert len(json.loads(out.read_text(encoding="utf-8"))["defects"]) == 5
     assert _digest(out) == "6ef174d5afa50bdad787482ce6c29893ebf9534f38c447aad1fb2e20e2af064d"
+
+
+
+def test_tls_scan_matches_golden_digests(tmp_path):
+    model = {"gamma_1q_per_s": 21505.376344086024, "readout_noise_sigma": 0.02, "defects": [
+        {"f_offset_mhz": -2.5, "coupling_g_khz": 80.0, "gamma_total_mhz": 1.0},
+        {"f_offset_mhz": 3.25, "coupling_g_khz": 60.0, "gamma_total_mhz": 0.8,
+         "dynamics": {"kind": "telegraphic", "f_a_mhz": 3.0, "f_b_mhz": 3.5,
+                      "switch_rate_per_s": 1e-3}},
+    ]}
+    model_path = _dump(tmp_path / "model.json", model)
+    out = tmp_path / "out"
+    assert main(["--seed", "13", "--output", str(out), "tls-scan", model_path,
+                 "--f-min-mhz", "-6", "--f-max-mhz", "6", "--f-step-mhz", "0.25",
+                 "--duration-h", "1", "--step-s", "120", "--max-defects", "3"]) == 0
+    assert {name: _digest(out / name) for name in ("map.csv", "defects.json")} == {
+        "map.csv": "3e6dccb01aaa340080f389ac35eb8eb179e894e635d917a95642b687c303dbb8",
+        "defects.json": "849b7d7e2446c6fc71072b680fde885abea53df561feba8b5ec85fb0784cd024",
+    }

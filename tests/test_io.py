@@ -434,7 +434,24 @@ class TestColumnsCsv:
             jio.read_columns_csv(str(path), ["area_um2"])
 
 
+MAP_VALUES = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1.0])
+
+
+@st.composite
+def _maps(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = [np.array(draw(st.lists(MAP_VALUES, min_size=n, max_size=n)), dtype=float)
+              for n in (cols, rows, rows * cols)]
+    return jt.SpectroMap(values[0], values[1], values[2].reshape(rows, cols))
+
+
 class TestMapCsv:
+    @given(_maps())
+    def test_text_equals_csv_writer(self, sp):
+        header = ["time_h", *(float(v) / 1e6 for v in sp.freq_offsets)]
+        rows = ([t, *row] for t, row in zip(sp.times.tolist(), sp.population.tolist()))
+        assert jio.map_csv(sp) == _csv_writer_text(header, rows)
+
     def test_round_trip(self, tmp_path):
         model = jt.QubitNoiseModel(defects=(jt.TlsDefect(f_offset=3e6),))
         sp = jt.simulate_map(

@@ -220,6 +220,12 @@ class TestIterativeTune:
         with pytest.raises(DomainError, match="finite"):
             jt.iterative_tune(jt.JunctionState(resistance=7781.0), target)
 
+    def test_estimate_too_small_for_the_map_refused(self):
+        with pytest.raises(DomainError, match=r"^resistance 1\.00025e-300 ohm is too small "
+                                              r"for the frequency map$"):
+            jt.iterative_tune(jt.JunctionState(resistance=1e-300), 5e9,
+                              rng=np.random.default_rng(0))
+
 
 class TestAllocateTargets:
     def test_spaced_input_unchanged(self):
