@@ -106,7 +106,7 @@ def aging_shift(t: float, params: AgingParams) -> float:
     """Fractional resistance shift after t days of storage."""
     if not t >= 0:
         raise DomainError(f"storage time must be non-negative, got {t!r}")
-    return _shift_model(_curve(params), t)
+    return float(_shift_model(_curve(params), t))
 
 
 _AGING_SPEC = ModelSpec(
@@ -120,8 +120,11 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     """Fit (A, B, tau) to fractional-shift samples vs storage day.
 
     Initialization: A from the last sample, A - B from the first, tau from a
-    third of the observed day range. A constant series converges with B ~ 0
-    and tau unidentifiable, which the result flags via std_error > value.
+    third of the observed day range. A fit that ends with tau on its lower
+    bound is run once more with tau from the first day the shift has moved
+    half way from the first sample to the last, and the lower residual norm
+    wins. A constant series converges with B ~ 0 and tau unidentifiable,
+    which the result flags via std_error > value.
     """
     t = np.asarray(list(days), dtype=float)
     y = np.asarray(list(shifts), dtype=float)
@@ -131,8 +134,17 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     t, y = t[order], y[order]
     span = float(t.max() - t.min())
     first, last = float(y[0]), float(y[-1])  # inf - inf is nan here, with no numpy warning
-    p0 = [last, last - first, span / 3.0]
-    return fit_curve(_AGING_SPEC, Dataset(inputs=t, observations=y), p0)
+    data = Dataset(inputs=t, observations=y)
+    fit = fit_curve(_AGING_SPEC, data, [last, last - first, span / 3.0])
+    if fit.params[2] <= _AGING_SPEC.bounds[2][0]:
+        # A step at day 0, a local minimum the fit cannot leave once tau
+        # starts far above its value: start again from the half-way day.
+        half = np.abs(y - first) >= 0.5 * abs(last - first)
+        tau = max(float(t[np.argmax(half)] - t[0]), 1e-3)
+        refit = fit_curve(_AGING_SPEC, data, [last, last - first, tau])
+        if refit.residual_norm < fit.residual_norm:
+            return refit
+    return fit
 
 
 def fit_aging(*series: AgingSeries) -> FitResult:

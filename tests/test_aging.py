@@ -64,6 +64,39 @@ def test_noiseless_fit_recovers_each_cohort(name):
     assert fit.params[2] == pytest.approx(params.tau_days, rel=1e-6)
 
 
+# Curves whose fit, seeded at a third of the day span, ran tau down to its
+# 1e-6 bound: a step at day 0. Drawn with A, B in U(-0.05, 0.05) and tau in
+# U(1, 60) d, sampled on the days below.
+@pytest.mark.parametrize("a, b, tau", [
+    (0.013696168732145436, -0.02302132862361297, 3.4174379122354868),
+    (0.04350724237877683, 0.031585355412153224, 1.1615715100387376),
+    (-0.02002881094626152, -0.007731277880234158, 2.670860597582315),
+    (-0.026063055700704787, 0.03764842308107039, 4.455514053506466),
+])
+def test_short_tau_is_not_fitted_as_a_step_at_day_zero(a, b, tau):
+    params = jt.AgingParams(final_shift_a=a, depth_b=b, tau_days=tau)
+    days = [0.0, 1.0, 2.0, 4.0, 7.0, 14.0, 28.0, 56.0, 90.0, 120.0]
+    fit = jt.fit_aging_samples(days, [jt.aging_shift(d, params) for d in days])
+    assert fit.converged
+    assert fit.params == pytest.approx([a, b, tau], rel=1e-6)
+
+
+@pytest.mark.parametrize("name, span", [("wafer1_annealed", 365.0), ("wafer1_unannealed", 200.0)])
+def test_cohort_recovered_from_a_long_span(name, span):
+    params = jt.REFERENCE_COHORTS[name]
+    samples = tuple((float(d), 7000.0 * (1.0 + jt.aging_shift(float(d), params)))
+                    for d in np.linspace(0.0, span, 12))
+    fit = jt.fit_aging(jt.AgingSeries(junction_id="j0", samples=samples, r0_ohm=7000.0))
+    assert fit.converged
+    assert fit.params == pytest.approx(
+        [params.final_shift_a, params.depth_b, params.tau_days], rel=1e-6
+    )
+
+
+def test_shift_is_a_python_float():
+    assert type(jt.aging_shift(3.0, W1A)) is float
+
+
 def test_series_reference_defaults_to_first_sample():
     series = jt.AgingSeries(junction_id="x", samples=((0.0, 8000.0), (5.0, 8200.0)))
     assert series.r0_ohm == 8000.0

@@ -257,6 +257,22 @@ class TestFit:
         assert doc["params"]["depth_b"] == pytest.approx(W1A.depth_b, rel=1e-6)
         assert doc["params"]["tau_days"] == pytest.approx(W1A.tau_days, rel=1e-6)
 
+    def test_aging_over_a_year_recovers_tau(self, tmp_path):
+        # Seeded at a third of the 365-day span, tau once ended on its 1e-6 bound.
+        lines = ["junction_id,day,resistance_ohm,cohort,wafer,r0_ohm"]
+        for d in np.linspace(0.0, 365.0, 12).tolist():
+            r = 7000.0 * (1.0 + float(jt.aging_shift(d, W1A)))
+            lines.append(f"JA,{d!r},{r!r},annealed,W1,7000.0")
+        data = tmp_path / "aging.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", "aging", str(data)]) == 0
+        doc = report_doc(out)
+        assert doc["converged"] is True
+        assert doc["params"]["tau_days"] == pytest.approx(10.4, rel=1e-6)
+        assert doc["params"]["final_shift_a"] == pytest.approx(0.21, rel=1e-6)
+        assert doc["params"]["depth_b"] == pytest.approx(0.12, rel=1e-6)
+
     def test_aging_mixed_cohorts_need_a_filter(self, tmp_path, capsys):
         data = self._aging_csv(tmp_path, cohorts=("annealed", "unannealed"))
         assert main(["--output", str(tmp_path / "f.json"), "fit", "aging", data]) == 2
