@@ -310,8 +310,9 @@ def iterative_tune(
                 r_aim / r_hat - 1.0,
                 mu_ceiling,
             )
-            # At or below 1e-9 the fused estimate says we are at the aim point
-            # but outside the band: hold and let another measurement refine it.
+            # At or below 1e-9 (a NaN step is not) the fused estimate says we are
+            # at the aim point but outside the band: hold and let another
+            # measurement refine it.
             if not step <= 1e-9:
                 recipe = LasingRecipe(power=power_for_shift(step, model, exposure),
                                       exposure=exposure)

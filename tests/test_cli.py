@@ -258,7 +258,8 @@ class TestFit:
         assert doc["params"]["tau_days"] == pytest.approx(W1A.tau_days, rel=1e-6)
 
     def test_aging_over_a_year_recovers_tau(self, tmp_path):
-        # Seeded at a third of the 365-day span, tau once ended on its 1e-6 bound.
+        # Seeded at a third of the 365-day span, the fit runs tau down to its
+        # 1e-6 bound unless it is refitted from the data.
         lines = ["junction_id,day,resistance_ohm,cohort,wafer,r0_ohm"]
         for d in np.linspace(0.0, 365.0, 12).tolist():
             r = 7000.0 * (1.0 + float(jt.aging_shift(d, W1A)))
