@@ -78,8 +78,10 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     report = run_batch(wafer, recipe, master_seed=seed)
     directory = args.output or "."
-    jio.atomic_write_text(os.path.join(directory, "report.json"), jio.batch_report_json(report))
-    jio.atomic_write_text(os.path.join(directory, "report.csv"), jio.batch_report_csv(report))
+    lines: list[str] = []
+    jio.atomic_write_text(os.path.join(directory, "report.json"),
+                          jio.batch_report_json_csv(report, lines))
+    jio.atomic_write_text(os.path.join(directory, "report.csv"), lines)
     n_passed = sum(row.qc_status == "passed" for row in report.entries)
     print(f"{report.wafer_id}: {len(report.entries)} junctions, {n_passed} annealed, "
           f"estimated wall time {report.estimated_wall_time_s:.0f} s")
@@ -312,10 +314,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
     ]
     directory = args.output or "."
-    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json(traces))
+    lines: list[str] | None = [] if args.format == "csv" else None
+    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json_csv(traces, lines))
     summary = jio.traces_summary(traces)
-    if args.format == "csv":
-        jio.atomic_write_text(os.path.join(directory, "traces.csv"), jio.traces_csv(traces))
+    if lines is not None:
+        jio.atomic_write_text(os.path.join(directory, "traces.csv"), lines)
     print(
         f"tuned {summary['n_junctions']}: {summary['n_converged']} converged, "
         f"{summary['n_overshoot']} overshoot, {summary['n_exhausted']} exhausted "

@@ -44,6 +44,7 @@ __all__ = [
     "plan_from_doc",
     "batch_report_to_doc",
     "batch_report_json",
+    "batch_report_json_csv",
     "batch_report_csv",
     "read_aging_csv",
     "read_columns_csv",
@@ -57,6 +58,7 @@ __all__ = [
     "traces_to_doc",
     "traces_summary",
     "traces_json",
+    "traces_json_csv",
     "traces_csv",
 ]
 
@@ -117,7 +119,9 @@ def write_json(path: str, doc: Any) -> None:
 # order, its strings through encode_basestring_ascii and its floats through
 # repr, as json's encoder writes them. That holds for records of plain str
 # and finite float values; any other record set takes json's encoder over
-# the document its *_to_doc builds.
+# the document its *_to_doc builds. The report and traces renderers also
+# write each record's CSV lines from the same texts: a float's str is its
+# repr, and the CSV of any other value is its str.
 
 _text = json.encoder.encode_basestring_ascii
 _ROWS = 64  # record texts joined into one written piece
@@ -157,6 +161,14 @@ def _nested(texts: Iterable[str]) -> str:
     none of them empty."""
     body = ",\n        ".join(texts)
     return f"[\n        {body}\n      ]" if body else "[]"
+
+
+def _csv_text(twins: Callable, records) -> str:
+    """The CSV lines ``twins(records, lines)`` collects, joined; its JSON pieces are dropped."""
+    lines: list[str] = []
+    for _ in twins(records, lines):
+        pass
+    return "".join(lines)
 
 
 @contextlib.contextmanager
@@ -369,17 +381,36 @@ _ROW_FLOATS = operator.itemgetter(1, 2, 4)
 
 def batch_report_json(report: BatchReport) -> Iterator[str]:
     """``json_text(batch_report_to_doc(report))`` in pieces, from the rows."""
+    return batch_report_json_csv(report, None)
+
+
+def batch_report_json_csv(report: BatchReport, csv_lines: list[str] | None) -> Iterator[str]:
+    """``batch_report_json(report)``; with ``csv_lines`` a list, the lines of
+    ``batch_report_csv(report)`` are appended to it as the pieces are made, each
+    value formatted once for both."""
     entries = report.entries
-    if not _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries)):
-        yield from _json_pieces(batch_report_to_doc(report))
+    plain = _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries))
+
+    def item(row) -> str:
+        jid, before, after, status, shift = row
+        before, after, shift = str(before), str(after), str(shift)
+        if csv_lines is not None:
+            csv_lines.append(f"{_csv_field(jid)},{before},{after},{_csv_field(status)},{shift}\n")
+        return (
+            f'{{\n      "id": {_text(jid)},\n      "qc_status": {_text(status)},\n'
+            f'      "r_after_ohm": {after},\n      "r_before_ohm": {before},\n'
+            f'      "shift_frac": {shift}\n    }}'
+        )
+
+    if csv_lines is not None:
+        csv_lines.append(",".join(_REPORT_KEYS) + "\n")
+    if plain:
+        yield from _json_list(_report_doc(report, None), "junctions", map(item, entries))
         return
-    items = (
-        f'{{\n      "id": {_text(jid)},\n      "qc_status": {_text(status)},\n'
-        f'      "r_after_ohm": {after!r},\n      "r_before_ohm": {before!r},\n'
-        f'      "shift_frac": {shift!r}\n    }}'
-        for jid, before, after, status, shift in entries
-    )
-    yield from _json_list(_report_doc(report, None), "junctions", items)
+    yield from _json_pieces(batch_report_to_doc(report))
+    if csv_lines is not None:
+        for row in entries:
+            item(row)
 
 
 _QUOTED = re.compile('[,"\r\n]').search  # finds what a CSV field must quote
@@ -393,15 +424,12 @@ def _csv_field(text: str) -> str:
 
 def batch_report_csv(report: BatchReport) -> str:
     """The report as CSV, a line per row."""
-    lines = [",".join(_REPORT_KEYS) + "\n"]
-    for jid, before, after, status, shift in report.entries:
-        lines.append(f"{_csv_field(jid)},{before},{after},{_csv_field(status)},{shift}\n")
-    return "".join(lines)
+    return _csv_text(batch_report_json_csv, report)
 
 
 # ------------------------------------------------------------- fit inputs
 
-_POSITIVE_COLUMNS = ("area_um2", "resistance_ohm")  # fit-input columns refused unless positive
+_POSITIVE_COLUMNS = ("area_um2", "resistance_ohm", "r0_ohm")  # fit-input columns refused unless positive
 
 
 def _read_csv_rows(path: str, required: Sequence[str]) -> list[tuple[int, dict]]:
@@ -428,6 +456,12 @@ def _cell_float(row: dict, column: str, path: str, line: int) -> float:
     return value
 
 
+def _positive_cell(column: str, value: float, path: str, line: int) -> float:
+    if column in _POSITIVE_COLUMNS and value <= 0.0:
+        raise SchemaError(f"{path}:{line}: column '{column}' must be positive, got {value}")
+    return value
+
+
 def read_aging_csv(path: str) -> list[AgingSeries]:
     """Group an aging CSV into per-(wafer, cohort, junction) series.
 
@@ -449,8 +483,8 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
         day = _cell_float(row, "day", path, line)
         resistance = _cell_float(row, "resistance_ohm", path, line)
         groups.setdefault(key, []).append((day, resistance))
-        if row.get("r0_ohm"):
-            r0s[key] = _cell_float(row, "r0_ohm", path, line)
+        if row.get("r0_ohm"):  # an empty cell takes the first sample
+            r0s[key] = _positive_cell("r0_ohm", _cell_float(row, "r0_ohm", path, line), path, line)
     series = []
     for (wafer_label, cohort, junction_id), samples in sorted(groups.items()):
         samples.sort(key=lambda pair: pair[0])
@@ -477,8 +511,7 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> list[tuple[float, ...
         raise SchemaError(f"{path}: no data rows")
     for line, values in rows:  # after every cell parsed, so a malformed cell is named first
         for column, value in zip(columns, values):
-            if column in _POSITIVE_COLUMNS and value <= 0.0:
-                raise SchemaError(f"{path}:{line}: column '{column}' must be positive, got {value}")
+            _positive_cell(column, value, path, line)
     return [values for _, values in rows]
 
 
@@ -778,6 +811,13 @@ _ITERATION_FLOATS = operator.attrgetter("measured_r", "inferred_f")
 
 def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
     """``json_text(traces_to_doc(traces))`` in pieces, from the traces."""
+    return traces_json_csv(traces, None)
+
+
+def traces_json_csv(traces: Sequence[TuneTrace], csv_lines: list[str] | None) -> Iterator[str]:
+    """``traces_json(traces)``; with ``csv_lines`` a list, the lines of
+    ``traces_csv(traces)`` are appended to it as the pieces are made, each
+    value formatted once for both."""
     iterations = list(_values(operator.attrgetter("iterations"), traces))
     shifts = [it.sampled_shift for it in iterations if it.sampled_shift is not None]
     recipes = [it.recipe for it in iterations if it.recipe is not None]
@@ -786,46 +826,47 @@ def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
         return itertools.chain(_values(_TRACE_FLOATS, traces), _values(_ITERATION_FLOATS, iterations),
                                shifts, _values(_RECIPE_FLOATS, recipes))
 
-    if not _plain(_values(_TRACE_STRINGS, traces), floats):
-        yield from _json_pieces(traces_to_doc(traces))
-        return
+    plain = _plain(_values(_TRACE_STRINGS, traces), floats)
     del iterations, shifts, recipes
 
-    def iteration_text(it) -> str:
-        recipe, shift = it.recipe, it.sampled_shift
-        power, exposure = ("null", "null") if recipe is None else (
-            repr(recipe.power), repr(recipe.exposure))
-        return (
-            f'{{\n          "exposure_s": {exposure},\n'
-            f'          "inferred_f_ghz": {it.inferred_f / 1e9!r},\n'
-            f'          "measured_r_ohm": {it.measured_r!r},\n          "power_mw": {power},\n'
-            f'          "sampled_shift": {"null" if shift is None else repr(shift)}\n        }}'
-        )
-
-    def trace_text(trace) -> str:
-        iterations = _nested(map(iteration_text, trace.iterations))
+    def item(trace) -> str:
+        if csv_lines is not None:
+            jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
+        texts = []
+        for k, it in enumerate(trace.iterations):
+            recipe, shift = it.recipe, it.sampled_shift
+            measured, inferred = str(it.measured_r), str(it.inferred_f / 1e9)
+            power, exposure = ("", "null") if recipe is None else (
+                str(recipe.power), str(recipe.exposure))
+            shift = "" if shift is None else str(shift)
+            if csv_lines is not None:
+                csv_lines.append(f"{jid},{k},{measured},{inferred},{power},{shift},{outcome}\n")
+            texts.append(
+                f'{{\n          "exposure_s": {exposure},\n          "inferred_f_ghz": {inferred},\n'
+                f'          "measured_r_ohm": {measured},\n          "power_mw": {power or "null"},\n'
+                f'          "sampled_shift": {shift or "null"}\n        }}'
+            )
         anneals = sum(it.recipe is not None for it in trace.iterations)
         return (
             f'{{\n      "f_target_ghz": {trace.target_f / 1e9!r},\n'
             f'      "final_resistance_ohm": {trace.final_resistance!r},\n'
-            f'      "iterations": {iterations},\n      "junction_id": {_text(trace.junction_id)},\n'
+            f'      "iterations": {_nested(texts)},\n      "junction_id": {_text(trace.junction_id)},\n'
             f'      "n_anneals": {anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
         )
 
-    shell = {"summary": traces_summary(traces), "traces": None}
-    yield from _json_list(shell, "traces", map(trace_text, traces))
+    if csv_lines is not None:
+        csv_lines.append(
+            "junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n")
+    if plain:
+        shell = {"summary": traces_summary(traces), "traces": None}
+        yield from _json_list(shell, "traces", map(item, traces))
+        return
+    yield from _json_pieces(traces_to_doc(traces))
+    if csv_lines is not None:
+        for trace in traces:
+            item(trace)
 
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:
     """The iterations as CSV, a line each."""
-    lines = ["junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n"]
-    for trace in traces:
-        jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
-        for k, it in enumerate(trace.iterations):
-            recipe, shift = it.recipe, it.sampled_shift
-            lines.append(
-                f"{jid},{k},{it.measured_r},{it.inferred_f / 1e9},"
-                f"{'' if recipe is None else recipe.power},{'' if shift is None else shift},"
-                f"{outcome}\n"
-            )
-    return "".join(lines)
+    return _csv_text(traces_json_csv, traces)

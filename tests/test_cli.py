@@ -320,7 +320,7 @@ class TestFit:
          [], "displacement must be non-negative"),
         ("aging", "junction_id,day,resistance_ohm,cohort,wafer,r0_ohm\n"
                   "J1,0,7800,annealed,W1,-5\nJ1,10,7810,annealed,W1,-5\n",
-         [], "data.csv: series 'J1': reference resistance must be positive"),
+         [], "data.csv:2: column 'r0_ohm' must be positive, got -5.0"),
         ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
          ["--wait-us", "nan"], "wait must be positive and finite"),
         ("tls", "time_h,-1.0,0.0,1.0\n0.0,0.5,0.4,0.5\n1.0,0.5,0.4,0.5\n",
@@ -333,6 +333,21 @@ class TestFit:
         out = tmp_path / "fit.json"
         assert main(["--output", str(out), "fit", kind, str(data), *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r0", ["0", "-0.0", "-7000"])
+    def test_aging_non_positive_reference_is_refused_at_its_line(self, tmp_path, capsys, r0):
+        # A zero cell must not fall back to the first sample, as an empty one does.
+        data = tmp_path / "aging.csv"
+        data.write_text("junction_id,day,resistance_ohm,cohort,wafer,r0_ohm\n"
+                        "J1,0,7800,annealed,W1,\n"
+                        f"J1,10,7810,annealed,W1,{r0}\n"
+                        "J1,20,7815,annealed,W1,\n")
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", "aging", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"aging.csv:3: column 'r0_ohm' must be positive, got {float(r0)}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_kind_is_usage_error(self, tmp_path):

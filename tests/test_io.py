@@ -749,6 +749,20 @@ class TestRecordRenderers:
         assert jio.batch_report_csv(report) == _csv_writer_text(
             ["id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac"], report.entries)
 
+    @given(REPORTS)
+    def test_one_pass_report_texts_equal_the_two_renderers(self, report):
+        lines: list[str] = []
+        text = "".join(jio.batch_report_json_csv(report, lines))
+        assert text == jio.json_text(jio.batch_report_to_doc(report))
+        assert "".join(lines) == jio.batch_report_csv(report)
+
+    @given(TRACES)
+    def test_one_pass_traces_texts_equal_the_two_renderers(self, traces):
+        lines: list[str] = []
+        text = "".join(jio.traces_json_csv(traces, lines))
+        assert text == jio.json_text(jio.traces_to_doc(traces))
+        assert "".join(lines) == jio.traces_csv(traces)
+
     @given(RECORD_IDS, PLAN_ENTRIES)
     def test_plan_text_equals_the_builder(self, wafer_id, entries):
         assert "".join(jio.plan_json(wafer_id, entries)) == jio.json_text(

@@ -110,6 +110,23 @@ def test_record_writers_hold_less_than_half_their_text(tmp_path, render):
     assert peak < size / 2
 
 
+def test_one_pass_report_writer_holds_less_than_the_joined_csv(tmp_path):
+    # Joining the CSV text whole peaks at 2.9 times its size; the one-pass
+    # writer holds the report's CSV lines as a list while it streams the JSON.
+    report = _report(12000)
+    size = len(jio.batch_report_csv(report))
+    tracemalloc.start()
+    try:
+        lines: list[str] = []
+        jio.atomic_write_text(str(tmp_path / "report.json"), jio.batch_report_json_csv(report, lines))
+        jio.atomic_write_text(str(tmp_path / "report.csv"), lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "report.csv").read_text() == jio.batch_report_csv(report)
+    assert peak < 2.5 * size
+
+
 def _late_cycle() -> dict:
     records = _records(3000)
     records[-1]["loop"] = records
