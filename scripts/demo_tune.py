@@ -46,9 +46,8 @@ def main() -> None:
         )
         final_f = jt.qubit_frequency(trace.final_resistance)
         miss = (final_f - f_target) / 1e6
-        anneals = sum(1 for it in trace.iterations if it.recipe is not None)
         print(
-            f"  {jid}: {trace.outcome:9s} after {anneals} anneals, "
+            f"  {jid}: {trace.outcome:9s} after {trace.n_anneals} anneals, "
             f"final {final_f / 1e9:.6f} GHz ({miss:+.2f} MHz from target)"
         )
 

@@ -79,11 +79,9 @@ def _cmd_simulate_wafer(args: argparse.Namespace) -> int:
     report = run_batch(wafer, recipe, master_seed=seed)
     directory = args.output or "."
     lines: list[str] = []
-    jio.atomic_write_text(os.path.join(directory, "report.json"),
-                          jio.batch_report_json_csv(report, lines))
+    jio.atomic_write_text(os.path.join(directory, "report.json"), jio.batch_report_json(report, lines))
     jio.atomic_write_text(os.path.join(directory, "report.csv"), lines)
-    n_passed = sum(row.qc_status == "passed" for row in report.entries)
-    print(f"{report.wafer_id}: {len(report.entries)} junctions, {n_passed} annealed, "
+    print(f"{report.wafer_id}: {len(report.entries)} junctions, {report.n_passed} annealed, "
           f"estimated wall time {report.estimated_wall_time_s:.0f} s")
     return 0
 
@@ -315,7 +313,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     ]
     directory = args.output or "."
     lines: list[str] | None = [] if args.format == "csv" else None
-    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json_csv(traces, lines))
+    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json(traces, lines))
     summary = jio.traces_summary(traces)
     if lines is not None:
         jio.atomic_write_text(os.path.join(directory, "traces.csv"), lines)

@@ -294,11 +294,10 @@ def mean_shift(
     """
     displacement = recipe.displacement + beam_offset
     params = model.displacement
-    # Normalized thermal transfer; the transfer at zero displacement is A + B
-    # exactly (exp(-0.0) is 1.0), and is the transfer at a zero of either sign.
+    # Normalized thermal transfer: the transfer at zero displacement, of
+    # either sign, is A + B exactly, since exp(-0.0) is 1.0.
     zero = params.transfer_amp_a + params.transfer_offset_b
-    transfer = zero if displacement == 0.0 else heat_transfer_factor(displacement, params)
-    effective_power = recipe.power * (transfer / zero)
+    effective_power = recipe.power * (heat_transfer_factor(displacement, params) / zero)
     temperature = junction_temperature(effective_power, model.heating)
     saturated = mean_shift_vs_temperature(temperature, model.response)
     return saturated * exposure_factor(recipe.exposure, recipe.repetitions, model.response)

@@ -44,7 +44,6 @@ __all__ = [
     "plan_from_doc",
     "batch_report_to_doc",
     "batch_report_json",
-    "batch_report_json_csv",
     "batch_report_csv",
     "read_aging_csv",
     "read_columns_csv",
@@ -58,7 +57,6 @@ __all__ = [
     "traces_to_doc",
     "traces_summary",
     "traces_json",
-    "traces_json_csv",
     "traces_csv",
 ]
 
@@ -163,10 +161,10 @@ def _nested(texts: Iterable[str]) -> str:
     return f"[\n        {body}\n      ]" if body else "[]"
 
 
-def _csv_text(twins: Callable, records) -> str:
-    """The CSV lines ``twins(records, lines)`` collects, joined; its JSON pieces are dropped."""
+def _csv_text(render: Callable, records) -> str:
+    """The CSV lines ``render(records, lines)`` collects, joined; its JSON pieces are dropped."""
     lines: list[str] = []
-    for _ in twins(records, lines):
+    for _ in render(records, lines):
         pass
     return "".join(lines)
 
@@ -355,7 +353,7 @@ _REPORT_KEYS = ("id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac")
 
 def _report_doc(report: BatchReport, junctions: list | None) -> dict:
     """The report's document, with ``junctions`` as its list of rows."""
-    n_passed = sum(row.qc_status == "passed" for row in report.entries)
+    n_passed = report.n_passed
     return {
         "wafer_id": report.wafer_id,
         "master_seed": report.master_seed,
@@ -379,15 +377,10 @@ _ROW_STRINGS = operator.itemgetter(0, 3)
 _ROW_FLOATS = operator.itemgetter(1, 2, 4)
 
 
-def batch_report_json(report: BatchReport) -> Iterator[str]:
-    """``json_text(batch_report_to_doc(report))`` in pieces, from the rows."""
-    return batch_report_json_csv(report, None)
-
-
-def batch_report_json_csv(report: BatchReport, csv_lines: list[str] | None) -> Iterator[str]:
-    """``batch_report_json(report)``; with ``csv_lines`` a list, the lines of
-    ``batch_report_csv(report)`` are appended to it as the pieces are made, each
-    value formatted once for both."""
+def batch_report_json(report: BatchReport, csv_lines: list[str] | None = None) -> Iterator[str]:
+    """``json_text(batch_report_to_doc(report))`` in pieces, from the rows; with
+    ``csv_lines`` a list, the lines of ``batch_report_csv(report)`` are appended
+    to it as the pieces are made, each value formatted once for both."""
     entries = report.entries
     plain = _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries))
 
@@ -424,7 +417,7 @@ def _csv_field(text: str) -> str:
 
 def batch_report_csv(report: BatchReport) -> str:
     """The report as CSV, a line per row."""
-    return _csv_text(batch_report_json_csv, report)
+    return _csv_text(batch_report_json, report)
 
 
 # ------------------------------------------------------------- fit inputs
@@ -482,7 +475,7 @@ def read_aging_csv(path: str) -> list[AgingSeries]:
         key = (row.get("wafer") or "", cohort, row.get("junction_id") or "")
         day = _cell_float(row, "day", path, line)
         resistance = _cell_float(row, "resistance_ohm", path, line)
-        groups.setdefault(key, []).append((day, resistance))
+        groups.setdefault(key, []).append((day, _positive_cell("resistance_ohm", resistance, path, line)))
         if row.get("r0_ohm"):  # an empty cell takes the first sample
             r0s[key] = _positive_cell("r0_ohm", _cell_float(row, "r0_ohm", path, line), path, line)
     series = []
@@ -722,8 +715,13 @@ def plan_from_doc(doc: dict, junction_ids: Container[str]) -> tuple[list[str], l
     return ids, targets
 
 
-def plan_to_doc(wafer_id: str, entries: Sequence[dict]) -> dict:
-    return {"wafer_id": wafer_id, "junctions": list(entries)}
+def plan_to_doc(wafer_id: str, entries: Sequence[tuple]) -> dict:
+    """The plan's document from entries ``(id, f_now, f_target, shift, shots)``,
+    frequencies in Hz; it holds them in GHz, and each shot as ``recipe_to_doc`` writes it."""
+    return {"wafer_id": wafer_id, "junctions": [
+        {"id": jid, "f_now_ghz": now / 1e9, "f_target_ghz": target / 1e9,
+         "required_shift_frac": shift, "shots": list(map(recipe_to_doc, recipes))}
+        for jid, now, target, shift, recipes in entries]}
 
 
 _ENTRY_FLOATS = operator.itemgetter(1, 2, 3)
@@ -732,18 +730,12 @@ _RECIPE_FLOATS = operator.attrgetter("power", "exposure")
 
 
 def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
-    """``json_text(plan_to_doc(wafer_id, docs))`` in pieces, from entries
-    ``(id, f_now, f_target, shift, shots)``: frequencies in Hz, the required
-    shift fraction and the shot recipes. ``docs`` are their dicts, with the
-    frequencies in GHz and each shot as ``recipe_to_doc`` writes it."""
+    """``json_text(plan_to_doc(wafer_id, entries))`` in pieces, from the entries."""
     shots = list(_values(operator.itemgetter(4), entries))
     plain = _plain(map(operator.itemgetter(0), entries), lambda: itertools.chain(
         _values(_ENTRY_FLOATS, entries), _values(_SHOT_FLOATS, shots)))
     if not (plain and {int}.issuperset(type(shot.repetitions) for shot in shots)):
-        docs = [{"id": jid, "f_now_ghz": now / 1e9, "f_target_ghz": target / 1e9,
-                 "required_shift_frac": shift, "shots": list(map(recipe_to_doc, recipes))}
-                for jid, now, target, shift, recipes in entries]
-        yield from _json_pieces(plan_to_doc(wafer_id, docs))
+        yield from _json_pieces(plan_to_doc(wafer_id, entries))
         return
     del shots
 
@@ -770,7 +762,7 @@ def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
             "f_target_ghz": trace.target_f / 1e9,
             "outcome": trace.outcome,
             "final_resistance_ohm": trace.final_resistance,
-            "n_anneals": sum(it.recipe is not None for it in trace.iterations),
+            "n_anneals": trace.n_anneals,
             "iterations": [
                 {
                     "measured_r_ohm": it.measured_r,
@@ -792,7 +784,7 @@ def traces_summary(traces: Sequence[TuneTrace]) -> dict:
     outcomes = {"converged": 0, "overshoot": 0, "exhausted": 0}
     for trace in traces:
         outcomes[trace.outcome] += 1
-    anneals = sum(it.recipe is not None for trace in traces for it in trace.iterations)
+    anneals = sum(trace.n_anneals for trace in traces)
     n = max(len(traces), 1)
     return {
         "n_junctions": len(traces),
@@ -809,15 +801,10 @@ _TRACE_FLOATS = operator.attrgetter("target_f", "final_resistance")
 _ITERATION_FLOATS = operator.attrgetter("measured_r", "inferred_f")
 
 
-def traces_json(traces: Sequence[TuneTrace]) -> Iterator[str]:
-    """``json_text(traces_to_doc(traces))`` in pieces, from the traces."""
-    return traces_json_csv(traces, None)
-
-
-def traces_json_csv(traces: Sequence[TuneTrace], csv_lines: list[str] | None) -> Iterator[str]:
-    """``traces_json(traces)``; with ``csv_lines`` a list, the lines of
-    ``traces_csv(traces)`` are appended to it as the pieces are made, each
-    value formatted once for both."""
+def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None) -> Iterator[str]:
+    """``json_text(traces_to_doc(traces))`` in pieces, from the traces; with
+    ``csv_lines`` a list, the lines of ``traces_csv(traces)`` are appended to
+    it as the pieces are made, each value formatted once for both."""
     iterations = list(_values(operator.attrgetter("iterations"), traces))
     shifts = [it.sampled_shift for it in iterations if it.sampled_shift is not None]
     recipes = [it.recipe for it in iterations if it.recipe is not None]
@@ -846,12 +833,11 @@ def traces_json_csv(traces: Sequence[TuneTrace], csv_lines: list[str] | None) ->
                 f'          "measured_r_ohm": {measured},\n          "power_mw": {power or "null"},\n'
                 f'          "sampled_shift": {shift or "null"}\n        }}'
             )
-        anneals = sum(it.recipe is not None for it in trace.iterations)
         return (
             f'{{\n      "f_target_ghz": {trace.target_f / 1e9!r},\n'
             f'      "final_resistance_ohm": {trace.final_resistance!r},\n'
             f'      "iterations": {_nested(texts)},\n      "junction_id": {_text(trace.junction_id)},\n'
-            f'      "n_anneals": {anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
+            f'      "n_anneals": {trace.n_anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
         )
 
     if csv_lines is not None:
@@ -869,4 +855,4 @@ def traces_json_csv(traces: Sequence[TuneTrace], csv_lines: list[str] | None) ->
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:
     """The iterations as CSV, a line each."""
-    return _csv_text(traces_json_csv, traces)
+    return _csv_text(traces_json, traces)

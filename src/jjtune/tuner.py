@@ -104,6 +104,10 @@ class TuneTrace:
     outcome: Literal["converged", "overshoot", "exhausted"]
     final_resistance: float
 
+    @property
+    def n_anneals(self) -> int:
+        return sum(it.recipe is not None for it in self.iterations)
+
 
 def required_shift(f_now: float, f_target: float) -> float:
     """Fractional resistance increase taking f_now to f_target (exact).

@@ -147,6 +147,10 @@ class BatchReport:
     def estimated_wall_time_s(self) -> float:
         return SECONDS_PER_JUNCTION * len(self.entries)
 
+    @property
+    def n_passed(self) -> int:
+        return sum(row.qc_status == "passed" for row in self.entries)
+
 
 def estimate_affine(
     design_pts: Sequence[Sequence[float]],

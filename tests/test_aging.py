@@ -111,6 +111,12 @@ def test_series_validation():
         jt.fit_aging_samples([0.0, 1.0, 2.0], [0.1, 0.1, 0.1])  # < 4 distinct days
 
 
+@pytest.mark.parametrize("r0", [-0.5, -7000.0])
+def test_series_reference_must_be_positive(r0):
+    with pytest.raises(DomainError, match="reference resistance must be positive"):
+        jt.AgingSeries(junction_id="x", samples=((0.0, 8000.0), (5.0, 8200.0)), r0_ohm=r0)
+
+
 def test_flat_series_flags_unidentifiable_tau():
     days = np.arange(0.0, 31.0, 3.0)
     fit = jt.fit_aging_samples(days, np.full(days.size, 0.09))

@@ -350,6 +350,21 @@ class TestFit:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("resistance", ["0", "-0.0", "-7810"])
+    def test_aging_non_positive_resistance_is_refused_at_its_line(self, tmp_path, capsys,
+                                                                 resistance):
+        data = tmp_path / "aging.csv"
+        data.write_text("junction_id,day,resistance_ohm,cohort,wafer\n"
+                        "J1,0,7800,annealed,W1\n"
+                        f"J1,10,{resistance},annealed,W1\n"
+                        "J1,20,7815,annealed,W1\n")
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", "aging", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert (f"aging.csv:3: column 'resistance_ohm' must be positive, got {float(resistance)}"
+                in err)
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["fit", "sideways", str(tmp_path / "x.csv")])
@@ -1216,3 +1231,44 @@ def test_ids_csv_quotes_and_json_escapes_survive_every_command(tmp_path, capsys,
         assert column == sorted(column)  # rows stay in id order, each id's rows together
         if per_id:
             assert len(column) == len(ids)
+
+
+def _generic_json(path) -> str:
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return text
+
+
+def test_report_past_the_plain_float_range_is_written_by_the_json_encoder(tmp_path, capsys):
+    # Two finite 1e308 ohm resistances sum past the float range, so the report
+    # renderer hands the rows to json's encoder.
+    junctions = tuple(
+        jt.JunctionRecord(id=f"W-J{k}", design_xy=(50.0 * k, 0.0), area=0.1, resistance=1e308)
+        for k in range(2)
+    )
+    wafer = jt.WaferLayout(wafer_id="W", rows=1, cols=2, pitch=50.0, junctions=junctions)
+    out = tmp_path / "out"
+    assert main(["--seed", "0", "--output", str(out), "simulate-wafer",
+                 write_wafer(tmp_path, wafer), write_recipe(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(_generic_json(out / "report.json"))
+    with open(out / "report.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["id", "r_before_ohm", "r_after_ohm", "qc_status", "shift_frac"]
+    assert rows[1:] == [[row["id"], repr(row["r_before_ohm"]), repr(row["r_after_ohm"]),
+                         row["qc_status"], repr(row["shift_frac"])] for row in doc["junctions"]]
+
+
+def test_plan_past_the_plain_float_range_is_written_by_the_json_encoder(tmp_path, capsys):
+    # A 1e308 s exposure on each of six shots sums past the float range.
+    wafer = jt.synthesize_wafer("W3", 1, 3, 50.0, 7781.0, 0.01, seed=2)
+    tpath = tmp_path / "targets.json"
+    jio.write_json(str(tpath), {"targets_ghz": {
+        j.id: (jt.qubit_frequency(j.resistance) - 60e6) / 1e9 for j in wafer.junctions}})
+    out = tmp_path / "plan.json"
+    assert main(["--output", str(out), "plan", write_wafer(tmp_path, wafer), str(tpath),
+                 "--exposure-s", "1e308"]) == 0
+    capsys.readouterr()
+    doc = json.loads(_generic_json(out))
+    assert len(doc["junctions"]) == 3
+    assert {shot["exposure_s"] for entry in doc["junctions"] for shot in entry["shots"]} == {1e308}

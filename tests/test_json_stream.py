@@ -118,7 +118,7 @@ def test_one_pass_report_writer_holds_less_than_the_joined_csv(tmp_path):
     tracemalloc.start()
     try:
         lines: list[str] = []
-        jio.atomic_write_text(str(tmp_path / "report.json"), jio.batch_report_json_csv(report, lines))
+        jio.atomic_write_text(str(tmp_path / "report.json"), jio.batch_report_json(report, lines))
         jio.atomic_write_text(str(tmp_path / "report.csv"), lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -5,6 +5,8 @@ depend on which other junctions a run lists, or in what order. A plan's
 shots compose to the shift it asks for, and a noise-free tune never
 overshoots its target. ``plan`` and ``tune`` end with an exit code of the
 contract, never an exception, across the whole float range of their inputs.
+``fit dose`` and ``fit displacement`` recover the curve the twin's own dose
+formulas draw.
 """
 
 import json
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import jjtune as jt
 import jjtune.io as jio
+from jjtune import dose
 from jjtune.cli import main
 
 
@@ -206,3 +209,42 @@ def test_plan_and_tune_exit_by_the_contract_across_the_float_range(draws, tolera
     lines = err.getvalue().splitlines()
     assert len(lines) == sum(code != 0 for code in codes), lines
     assert all(line.startswith(("input error: ", "infeasible: ")) for line in lines), lines
+
+
+def _fit(kind: str, header: str, points) -> dict:
+    """``fit kind``'s report on a CSV of the (x, y) points as float reprs; it must exit 0."""
+    with tempfile.TemporaryDirectory() as name:
+        data, out = Path(name) / "data.csv", Path(name) / "fit.json"
+        data.write_text(header + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+        with redirect_stdout(StringIO()):
+            assert main(["--output", str(out), "fit", kind, str(data)]) == 0
+        return json.loads(out.read_text())
+
+
+# The CLI fits its own numpy copies of the dose curves; noise-free data drawn
+# with dose's scalar formulas must give back the parameters that drew it.
+@given(st.floats(0.005, 0.05), st.floats(10.0, 80.0))
+def test_fit_dose_recovers_the_saturation_curve(plateau, t0):
+    response = dose.DoseResponseParams(plateau_m=plateau, char_temperature_t0=t0)
+    powers = [2.0 + 47.5 * k / 11 for k in range(12)]  # below the 50 mW ceiling
+    doc = _fit("dose", "power_mw,shift_frac", [
+        (p, dose.mean_shift_vs_temperature(dose.junction_temperature(p), response))
+        for p in powers])
+    assert doc["params"] == pytest.approx({
+        "plateau_m": plateau, "depth_b": response.depth_b, "char_temperature_t0_c": t0,
+    }, rel=1e-6)
+
+
+@given(st.floats(0.5, 2.0), st.floats(5e-4, 1e-2), st.floats(2.0, 40.0))
+def test_fit_displacement_recovers_the_transfer_curve(amplitude, offset, d0):
+    params = dose.DisplacementParams(transfer_amp_a=amplitude, transfer_offset_b=offset,
+                                     decay_d0=d0)
+    displacements = [2.0 * k for k in range(16)]  # 0 to 30 um
+    doc = _fit("displacement", "displacement_um,response_frac", [
+        (d, dose.displacement_response(d, params=params)) for d in displacements])
+    # The fit's scale is the response's scale times A; its offset is B / A.
+    scale = dose.displacement_response(0.0) / (
+        dose.absorption_fraction(0.0) * dose.heat_transfer_factor(0.0))
+    assert doc["params"] == pytest.approx({
+        "scale": scale * amplitude, "decay_d0_um": d0, "transfer_offset_b": offset / amplitude,
+    }, rel=1e-6)
