@@ -110,72 +110,24 @@ def _fit_columns(path: str, columns: list[str], kind: str) -> list[np.ndarray]:
 
 
 def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .dose import DOSE_FIT_NAMES, fit_dose_curve
 
-    powers, shifts = _fit_columns(path, ["power_mw", "shift_frac"], "dose")
-    heating = default_dose_model().heating
-
-    def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        temperature = heating.slope * x + heating.ambient
-        return p[0] - p[1] * np.exp(-temperature / p[2])
-
-    spec = ModelSpec(
-        evaluator=model,
-        parameter_names=("plateau_m", "depth_b", "char_temperature_t0_c"),
-        bounds=((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)),
-    )
-    top = float(shifts.max())
-    fit = _fit_or_partial(fit_curve, spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
-    return fit, spec.parameter_names
+    columns = _fit_columns(path, ["power_mw", "shift_frac"], "dose")
+    return _fit_or_partial(fit_dose_curve, *columns), DOSE_FIT_NAMES
 
 
 def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .dose import absorption_fraction
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .dose import DISPLACEMENT_FIT_NAMES, fit_displacement_curve
 
-    displacement, response = _fit_columns(path, ["displacement_um", "response_frac"], "displacement")
-    beam = default_dose_model().beam
-
-    absorbed = np.array([absorption_fraction(v, beam) for v in displacement.tolist()])
-
-    def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
-
-    spec = ModelSpec(
-        evaluator=model,
-        parameter_names=("scale", "decay_d0_um", "transfer_offset_b"),
-        bounds=((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)),
-    )
-    fit = _fit_or_partial(
-        fit_curve, spec, Dataset(displacement, response), [float(response.max()) / 0.37, 10.0, 0.002]
-    )
-    return fit, spec.parameter_names
+    columns = _fit_columns(path, ["displacement_um", "response_frac"], "displacement")
+    return _fit_or_partial(fit_displacement_curve, *columns), DISPLACEMENT_FIT_NAMES
 
 
 def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .physics import BARRIER_FIT_NAMES, fit_barrier
 
-    thickness, area, resistance = _fit_columns(
-        path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
-    resistance_area = area * resistance
-
-    def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return p[0] * np.exp(t / p[1])
-
-    # Log-linear seed keeps the start independent of operator choices.
-    slope, intercept = np.polyfit(thickness, np.log(resistance_area), 1)
-    spec = ModelSpec(
-        evaluator=model,
-        parameter_names=("prefactor_ohm_um2", "tau_barrier_nm"),
-        bounds=((1e-12, np.inf), (1e-3, 100.0)),
-    )
-    # Resistance that does not grow with thickness has no positive decay
-    # length to seed; start from the flattest the bounds allow.
-    tau = 1.0 / float(slope) if slope > 0 else spec.bounds[1][1]
-    fit = _fit_or_partial(
-        fit_curve, spec, Dataset(thickness, resistance_area), [float(np.exp(intercept)), tau]
-    )
-    return fit, spec.parameter_names
+    columns = _fit_columns(path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
+    return _fit_or_partial(fit_barrier, *columns), BARRIER_FIT_NAMES
 
 
 def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:

@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
+
+if TYPE_CHECKING:
+    from .fitkit import FitResult
 
 __all__ = [
     "HeatingParams",
@@ -52,10 +56,16 @@ __all__ = [
     "realized_shift",
     "apply_anneal",
     "default_dose_model",
+    "DOSE_FIT_NAMES",
+    "DISPLACEMENT_FIT_NAMES",
+    "fit_dose_curve",
+    "fit_displacement_curve",
 ]
 
 POWER_LIMIT_MW = 50.0
 _DISPLACEMENT_SCALE = 0.0404207352594069  # puts displacement_response's peak at 1.5e-2
+DOSE_FIT_NAMES = ("plateau_m", "depth_b", "char_temperature_t0_c")  # fit_dose_curve's
+DISPLACEMENT_FIT_NAMES = ("scale", "decay_d0_um", "transfer_offset_b")  # fit_displacement_curve's
 
 
 @dataclass(frozen=True)
@@ -229,6 +239,22 @@ def mean_shift_vs_temperature(
     )
 
 
+def fit_dose_curve(powers: np.ndarray, shifts: np.ndarray) -> FitResult:
+    """Fit ``mean_shift_vs_temperature``'s (m, b, T0) to saturated shifts vs power
+    (mW) at the default heating, from m = the top shift, b = 2 m and T0 = 30 degC."""
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
+    heating = HeatingParams()
+
+    def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        temperature = heating.slope * x + heating.ambient
+        return p[0] - p[1] * np.exp(-temperature / p[2])
+
+    spec = ModelSpec(model, DOSE_FIT_NAMES, ((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)))
+    top = float(shifts.max())
+    return fit_curve(spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
+
+
 def absorption_fraction(displacement: float, beam: BeamGeometry = BeamGeometry()) -> float:
     """Absorbed power fraction vs beam displacement (um) from the junction.
 
@@ -269,6 +295,21 @@ def displacement_response(
     return _DISPLACEMENT_SCALE * absorption_fraction(displacement, beam) * heat_transfer_factor(
         displacement, params
     )
+
+
+def fit_displacement_curve(displacement: np.ndarray, response: np.ndarray) -> FitResult:
+    """Fit ``displacement_response`` as scale * absorption * (exp(-D / D0) + B / A)
+    vs D (um), from the top response / 0.37, D0 = 10 um and B / A = 0.002."""
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
+    absorbed = np.array([absorption_fraction(v) for v in displacement.tolist()])
+
+    def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
+
+    spec = ModelSpec(model, DISPLACEMENT_FIT_NAMES, ((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)))
+    seed = [float(response.max()) / 0.37, 10.0, 0.002]
+    return fit_curve(spec, Dataset(displacement, response), seed)
 
 
 def exposure_factor(

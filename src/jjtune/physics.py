@@ -15,9 +15,16 @@ R_N and is invertible in closed form, which is what the planner relies on.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fitkit import FitResult
 
 __all__ = [
     "DEFAULT_MATERIAL",
@@ -28,6 +35,8 @@ __all__ = [
     "max_resistance",
     "linearized_shift",
     "barrier_resistance",
+    "BARRIER_FIT_NAMES",
+    "fit_barrier",
 ]
 
 
@@ -59,6 +68,7 @@ class _BarrierModelParams:
 
 DEFAULT_MATERIAL = _MaterialParams()
 DEFAULT_BARRIER = _BarrierModelParams()
+BARRIER_FIT_NAMES = ("prefactor_ohm_um2", "tau_barrier_nm")  # fit_barrier's
 
 # SI defining constants (exact) and the fixed calibration in joules; the
 # products keep the left-to-right grouping of the formulas they stand in for.
@@ -143,3 +153,36 @@ def barrier_resistance(thickness: float, area: float) -> float:
     if not area > 0:
         raise DomainError(f"area must be positive, got {area!r}")
     return DEFAULT_BARRIER.prefactor * math.exp(thickness / DEFAULT_BARRIER.tau_barrier) / area
+
+
+def fit_barrier(thickness: np.ndarray, area: np.ndarray, resistance: np.ndarray) -> FitResult:
+    """Fit ``barrier_resistance``'s (prefactor, tau) to junctions' thickness (nm),
+    area (um^2) and resistance (ohm), from a log-linear fit of R_N * area; tau
+    starts at its 100 nm bound where R_N * area does not grow with thickness.
+    A row (counted from 1) whose R_N * area is not a positive float, or
+    thicknesses whose squares all underflow, are refused."""
+    import numpy as np
+
+    from .fitkit import Dataset, ModelSpec, fit_curve
+
+    with np.errstate(all="ignore"):
+        resistance_area = area * resistance
+    for row, (a, r, ra) in enumerate(zip(area.tolist(), resistance.tolist(),
+                                         resistance_area.tolist()), 1):
+        if not 0.0 < ra < math.inf:
+            raise DomainError(f"barrier data row {row}: area_um2 {a:.6g} times resistance_ohm "
+                              f"{r:.6g} gives {ra:.6g}, outside the positive float range")
+
+    def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return p[0] * np.exp(t / p[1])
+
+    spec = ModelSpec(model, BARRIER_FIT_NAMES, ((1e-12, np.inf), (1e-3, 100.0)))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # polyfit's RankWarning: a poor seed is still a start
+        if not (thickness * thickness).sum() > 0.0:  # polyfit divides by the column's norm
+            raise DomainError("thickness_nm values whose squares underflow to 0 cannot seed the "
+                              "log-linear barrier fit")
+        slope, intercept = np.polyfit(thickness, np.log(resistance_area), 1)
+        prefactor = float(np.exp(intercept))
+    tau = 1.0 / float(slope) if slope > 0 else spec.bounds[1][1]
+    return fit_curve(spec, Dataset(thickness, resistance_area), [prefactor, tau])

@@ -280,7 +280,8 @@ def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     if not amps.any():  # every model value is 0 then, whatever A is
         raise DomainError("need a nonzero amplitude to fit the conversion factor")
     shifts = np.array([s for _, s in points], dtype=float)
-    sign = -1.0 if float(np.mean(shifts)) < 0 else 1.0
+    with np.errstate(all="ignore"):  # only the sign of a mean past the float range is read
+        sign = -1.0 if float(np.mean(shifts)) < 0 else 1.0
 
     def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
         return sign * (np.hypot(p[0] * x, _TONE_DETUNING) - _TONE_DETUNING)

@@ -85,3 +85,29 @@ def test_simulate_wafer_loads_no_fit_module(tmp_path):
     loaded = _loaded(_main(*argv), tmp_path)
     assert "wafer" in loaded
     assert loaded.isdisjoint({"tls", "fitkit", "aging", "tuner"})
+
+
+def test_fit_dose_loads_the_dose_model_and_the_fit_engine_only(tmp_path):
+    rows = "".join(f"{p!r},{jt.mean_shift(jt.LasingRecipe(power=p))!r}\n"
+                   for p in (5.0, 10.0, 20.0, 30.0, 40.0, 45.0))
+    (tmp_path / "dose.csv").write_text("power_mw,shift_frac\n" + rows)
+    loaded = _loaded(_main("--output", "fit.json", "fit", "dose", "dose.csv"), tmp_path)
+    assert {"dose", "fitkit"} <= loaded
+    assert loaded.isdisjoint({"physics", "tls", "wafer", "tuner", "streams"})
+
+
+def test_fit_barrier_loads_the_barrier_model_and_the_fit_engine_only(tmp_path):
+    rows = "".join(f"{t!r},0.1,{jt.barrier_resistance(t, 0.1)!r}\n" for t in (2.3, 2.4, 2.5, 2.6))
+    (tmp_path / "barrier.csv").write_text("thickness_nm,area_um2,resistance_ohm\n" + rows)
+    loaded = _loaded(_main("--output", "fit.json", "fit", "barrier", "barrier.csv"), tmp_path)
+    assert {"physics", "fitkit"} <= loaded
+    assert loaded.isdisjoint({"dose", "tls"})
+
+
+def test_plan_loads_no_fit_engine(tmp_path):
+    wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+    jio.write_json(str(tmp_path / "wafer.json"), jio.wafer_to_doc(wafer))
+    jio.write_json(str(tmp_path / "targets.json"), {"min_spacing_mhz": 50.0})
+    loaded = _loaded(_main("--output", "plan.json", "plan", "wafer.json", "targets.json"), tmp_path)
+    assert {"physics", "tuner", "dose"} <= loaded
+    assert "fitkit" not in loaded

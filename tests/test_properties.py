@@ -7,6 +7,8 @@ overshoots its target. ``plan`` and ``tune`` end with an exit code of the
 contract, never an exception, across the whole float range of their inputs.
 ``fit dose`` and ``fit displacement`` recover the curve the twin's own dose
 formulas draw.
+``fit barrier``, ``fit stark`` and ``fit aging`` recover the parameters of the
+twin's barrier, Stark and aging formulas from noise-free data.
 """
 
 import json
@@ -248,3 +250,51 @@ def test_fit_displacement_recovers_the_transfer_curve(amplitude, offset, d0):
     assert doc["params"] == pytest.approx({
         "scale": scale * amplitude, "decay_d0_um": d0, "transfer_offset_b": offset / amplitude,
     }, rel=1e-6)
+
+
+def _fit_rows(kind: str, header: str, rows) -> dict:
+    """``fit kind``'s report on a CSV of the rows, floats as reprs; it must exit 0."""
+    with tempfile.TemporaryDirectory() as name:
+        data, out = Path(name) / "data.csv", Path(name) / "fit.json"
+        data.write_text(header + "\n" + "".join(
+            ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows))
+        with redirect_stdout(StringIO()):
+            assert main(["--output", str(out), "fit", kind, str(data)]) == 0
+        return json.loads(out.read_text())
+
+
+@given(st.lists(st.floats(1.0, 2.0), min_size=8, max_size=8, unique=True),
+       st.lists(st.floats(0.05, 0.5), min_size=8, max_size=8))
+def test_fit_barrier_recovers_the_barrier_model(thicknesses, areas):
+    doc = _fit_rows("barrier", "thickness_nm,area_um2,resistance_ohm", [
+        (t, a, jt.barrier_resistance(t, a)) for t, a in zip(thicknesses, areas)])
+    assert doc["params"] == pytest.approx({
+        "prefactor_ohm_um2": jt.DEFAULT_BARRIER.prefactor,
+        "tau_barrier_nm": jt.DEFAULT_BARRIER.tau_barrier,
+    }, rel=1e-6)
+
+
+@given(st.floats(50e6, 900e6), st.sampled_from([-1, 1]))
+def test_fit_stark_recovers_the_conversion_on_either_tone_side(conversion, sign):
+    cal = jt.StarkCalibration(conv_a_neg=conversion, conv_a_pos=conversion)
+    amplitudes = [0.0125 * k for k in range(1, 9)]
+    doc = _fit_rows("stark", "amplitude,shift_mhz", [
+        (amp, jt.stark_shift(amp, cal, sign) / 1e6) for amp in amplitudes])
+    assert doc["params"]["conv_a_mhz"] == pytest.approx(conversion / 1e6, rel=1e-6)
+
+
+# Where B is too small for the sampled days to show tau (at B = 0 they show
+# none), the fit reports tau as unidentifiable, with a standard error above
+# its value, as fit_aging_samples documents; A and B still hold to 1e-9.
+@given(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), st.floats(1.0, 60.0))
+def test_fit_aging_recovers_the_storage_curve(final, depth, tau):
+    params = jt.AgingParams(final_shift_a=final, depth_b=depth, tau_days=tau)
+    days = [8.0 * k for k in range(16)]  # 0 to 120 d
+    doc = _fit_rows("aging", "junction_id,day,resistance_ohm,cohort,wafer,r0_ohm", [
+        ("J1", d, 7781.0 * (1.0 + jt.aging_shift(d, params)), "annealed", "W1", 7781.0)
+        for d in days])
+    fitted = doc["params"]
+    assert [fitted["final_shift_a"], fitted["depth_b"]] == pytest.approx([final, depth],
+                                                                         rel=1e-6, abs=1e-9)
+    if doc["std_errors"]["tau_days"] <= fitted["tau_days"]:
+        assert fitted["tau_days"] == pytest.approx(tau, rel=1e-6)
