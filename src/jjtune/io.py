@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -114,28 +113,22 @@ def write_json(path: str, doc: Any) -> None:
 
 # The record renderers (batch_report_json, plan_json, traces_json) spell out
 # each record of a document's list with one f-string, its keys in sorted
-# order, its strings through encode_basestring_ascii and its floats through
-# repr, as json's encoder writes them. That holds for records of plain str
-# and finite float values; any other record set takes json's encoder over
-# the document its *_to_doc builds. The report and traces renderers also
-# write each record's CSV lines from the same texts: a float's str is its
-# repr, and the CSV of any other value is its str.
+# order, its strings through encode_basestring_ascii and its other values
+# through their str, as json's encoder writes them. A float's str is its repr
+# (a numpy float's too) and an int's str is json's text, so _WORDS(text, text)
+# is json's text of the number, bool or None whose str is text. The report
+# and traces renderers also write each record's CSV lines from the same texts.
 
 _text = json.encoder.encode_basestring_ascii
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+          "True": "true", "False": "false", "None": "null"}.get
 _ROWS = 64  # record texts joined into one written piece
 
 
-def _plain(strings: Iterable, floats: Callable[[], Iterable]) -> bool:
-    """True when every one of ``strings`` is a str and every value ``floats()``
-    yields a finite float. It is called twice, so no list of them is held."""
-    # A sum past the float range only sends finite floats the generic way.
-    return ({str}.issuperset(map(type, strings)) and {float}.issuperset(map(type, floats()))
-            and math.isfinite(sum(floats(), 0.0)))
-
-
-def _values(getter: Callable, records: Iterable) -> Iterator:
-    """The values of each record's ``getter`` tuple, one after another."""
-    return itertools.chain.from_iterable(map(getter, records))
+def _number(value: Any) -> str:
+    """json's text of a number, bool or None."""
+    text = str(value)
+    return _WORDS(text, text)
 
 
 def _json_list(shell: dict, key: str, items: Iterator[str]) -> Iterator[str]:
@@ -373,17 +366,10 @@ def batch_report_to_doc(report: BatchReport) -> dict:
     ])
 
 
-_ROW_STRINGS = operator.itemgetter(0, 3)
-_ROW_FLOATS = operator.itemgetter(1, 2, 4)
-
-
 def batch_report_json(report: BatchReport, csv_lines: list[str] | None = None) -> Iterator[str]:
     """``json_text(batch_report_to_doc(report))`` in pieces, from the rows; with
     ``csv_lines`` a list, the lines of ``batch_report_csv(report)`` are appended
     to it as the pieces are made, each value formatted once for both."""
-    entries = report.entries
-    plain = _plain(_values(_ROW_STRINGS, entries), lambda: _values(_ROW_FLOATS, entries))
-
     def item(row) -> str:
         jid, before, after, status, shift = row
         before, after, shift = str(before), str(after), str(shift)
@@ -391,19 +377,14 @@ def batch_report_json(report: BatchReport, csv_lines: list[str] | None = None) -
             csv_lines.append(f"{_csv_field(jid)},{before},{after},{_csv_field(status)},{shift}\n")
         return (
             f'{{\n      "id": {_text(jid)},\n      "qc_status": {_text(status)},\n'
-            f'      "r_after_ohm": {after},\n      "r_before_ohm": {before},\n'
-            f'      "shift_frac": {shift}\n    }}'
+            f'      "r_after_ohm": {_WORDS(after, after)},\n'
+            f'      "r_before_ohm": {_WORDS(before, before)},\n'
+            f'      "shift_frac": {_WORDS(shift, shift)}\n    }}'
         )
 
     if csv_lines is not None:
         csv_lines.append(",".join(_REPORT_KEYS) + "\n")
-    if plain:
-        yield from _json_list(_report_doc(report, None), "junctions", map(item, entries))
-        return
-    yield from _json_pieces(batch_report_to_doc(report))
-    if csv_lines is not None:
-        for row in entries:
-            item(row)
+    yield from _json_list(_report_doc(report, None), "junctions", map(item, report.entries))
 
 
 _QUOTED = re.compile('[,"\r\n]').search  # finds what a CSV field must quote
@@ -601,7 +582,7 @@ def _numeric_map(handle) -> tuple | None:
             yield line
 
     try:
-        with np.errstate(over="ignore"):  # the csv reader warns, then refuses
+        with np.errstate(over="ignore"):  # the csv reader refuses an overflow
             offsets = np.array([float(v) for v in header[1:]]) * 1e6
         matrix = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -634,7 +615,8 @@ def _map_from_rows(rows: list[list[str]], path: str) -> tuple:
     if not rows or rows[0][:1] != ["time_h"]:
         raise SchemaError(f"{path}: expected a map CSV with a 'time_h' header column")
     try:
-        offsets = np.array([float(v) for v in rows[0][1:]]) * 1e6
+        with np.errstate(over="ignore"):  # an overflow in Hz is refused below
+            offsets = np.array([float(v) for v in rows[0][1:]]) * 1e6
         times = np.array([float(row[0]) for row in rows[1:]])
         population = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     except (ValueError, IndexError) as exc:
@@ -724,31 +706,19 @@ def plan_to_doc(wafer_id: str, entries: Sequence[tuple]) -> dict:
         for jid, now, target, shift, recipes in entries]}
 
 
-_ENTRY_FLOATS = operator.itemgetter(1, 2, 3)
-_SHOT_FLOATS = operator.attrgetter("power", "exposure", "displacement")
-_RECIPE_FLOATS = operator.attrgetter("power", "exposure")
-
-
 def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
     """``json_text(plan_to_doc(wafer_id, entries))`` in pieces, from the entries."""
-    shots = list(_values(operator.itemgetter(4), entries))
-    plain = _plain(map(operator.itemgetter(0), entries), lambda: itertools.chain(
-        _values(_ENTRY_FLOATS, entries), _values(_SHOT_FLOATS, shots)))
-    if not (plain and {int}.issuperset(type(shot.repetitions) for shot in shots)):
-        yield from _json_pieces(plan_to_doc(wafer_id, entries))
-        return
-    del shots
-
     def shot_text(shot) -> str:
         return (
-            f'{{\n          "displacement_um": {shot.displacement!r},\n'
-            f'          "exposure_s": {shot.exposure!r},\n          "power_mw": {shot.power!r},\n'
-            f'          "repetitions": {shot.repetitions!r}\n        }}'
+            f'{{\n          "displacement_um": {_number(shot.displacement)},\n'
+            f'          "exposure_s": {_number(shot.exposure)},\n'
+            f'          "power_mw": {_number(shot.power)},\n'
+            f'          "repetitions": {_number(shot.repetitions)}\n        }}'
         )
 
     items = (
-        f'{{\n      "f_now_ghz": {now / 1e9!r},\n      "f_target_ghz": {target / 1e9!r},\n'
-        f'      "id": {_text(jid)},\n      "required_shift_frac": {shift!r},\n'
+        f'{{\n      "f_now_ghz": {_number(now / 1e9)},\n      "f_target_ghz": {_number(target / 1e9)},\n'
+        f'      "id": {_text(jid)},\n      "required_shift_frac": {_number(shift)},\n'
         f'      "shots": {_nested(map(shot_text, shots))}\n    }}'
         for jid, now, target, shift, shots in entries
     )
@@ -796,26 +766,10 @@ def traces_summary(traces: Sequence[TuneTrace]) -> dict:
     }
 
 
-_TRACE_STRINGS = operator.attrgetter("junction_id", "outcome")
-_TRACE_FLOATS = operator.attrgetter("target_f", "final_resistance")
-_ITERATION_FLOATS = operator.attrgetter("measured_r", "inferred_f")
-
-
 def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None) -> Iterator[str]:
     """``json_text(traces_to_doc(traces))`` in pieces, from the traces; with
     ``csv_lines`` a list, the lines of ``traces_csv(traces)`` are appended to
     it as the pieces are made, each value formatted once for both."""
-    iterations = list(_values(operator.attrgetter("iterations"), traces))
-    shifts = [it.sampled_shift for it in iterations if it.sampled_shift is not None]
-    recipes = [it.recipe for it in iterations if it.recipe is not None]
-
-    def floats():
-        return itertools.chain(_values(_TRACE_FLOATS, traces), _values(_ITERATION_FLOATS, iterations),
-                               shifts, _values(_RECIPE_FLOATS, recipes))
-
-    plain = _plain(_values(_TRACE_STRINGS, traces), floats)
-    del iterations, shifts, recipes
-
     def item(trace) -> str:
         if csv_lines is not None:
             jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
@@ -824,18 +778,20 @@ def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None)
             recipe, shift = it.recipe, it.sampled_shift
             measured, inferred = str(it.measured_r), str(it.inferred_f / 1e9)
             power, exposure = ("", "null") if recipe is None else (
-                str(recipe.power), str(recipe.exposure))
+                str(recipe.power), _number(recipe.exposure))
             shift = "" if shift is None else str(shift)
             if csv_lines is not None:
                 csv_lines.append(f"{jid},{k},{measured},{inferred},{power},{shift},{outcome}\n")
             texts.append(
-                f'{{\n          "exposure_s": {exposure},\n          "inferred_f_ghz": {inferred},\n'
-                f'          "measured_r_ohm": {measured},\n          "power_mw": {power or "null"},\n'
-                f'          "sampled_shift": {shift or "null"}\n        }}'
+                f'{{\n          "exposure_s": {exposure},\n'
+                f'          "inferred_f_ghz": {_WORDS(inferred, inferred)},\n'
+                f'          "measured_r_ohm": {_WORDS(measured, measured)},\n'
+                f'          "power_mw": {_WORDS(power, power) or "null"},\n'
+                f'          "sampled_shift": {_WORDS(shift, shift) or "null"}\n        }}'
             )
         return (
-            f'{{\n      "f_target_ghz": {trace.target_f / 1e9!r},\n'
-            f'      "final_resistance_ohm": {trace.final_resistance!r},\n'
+            f'{{\n      "f_target_ghz": {_number(trace.target_f / 1e9)},\n'
+            f'      "final_resistance_ohm": {_number(trace.final_resistance)},\n'
             f'      "iterations": {_nested(texts)},\n      "junction_id": {_text(trace.junction_id)},\n'
             f'      "n_anneals": {trace.n_anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
         )
@@ -843,14 +799,8 @@ def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None)
     if csv_lines is not None:
         csv_lines.append(
             "junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n")
-    if plain:
-        shell = {"summary": traces_summary(traces), "traces": None}
-        yield from _json_list(shell, "traces", map(item, traces))
-        return
-    yield from _json_pieces(traces_to_doc(traces))
-    if csv_lines is not None:
-        for trace in traces:
-            item(trace)
+    shell = {"summary": traces_summary(traces), "traces": None}
+    yield from _json_list(shell, "traces", map(item, traces))
 
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:

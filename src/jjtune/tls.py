@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FitEvaluationError
 from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
 
 __all__ = [
@@ -434,7 +434,8 @@ def extract_tls(
     of candidates sitting within half their combined linewidth collapses to
     the stronger one, since overlapping peaks are not separable here. Fits
     whose peak excess stays below twice its propagated uncertainty are
-    discarded; none surviving means no persistent defect.
+    discarded; none surviving means no persistent defect. Rates beyond the
+    float range raise ``FitEvaluationError`` with no fit, before any fit.
     """
     offsets = np.asarray(list(freq_offsets), dtype=float)
     prof = np.asarray(list(profile), dtype=float)
@@ -448,7 +449,10 @@ def extract_tls(
         raise DomainError("wait must be positive and finite")
     if max_defects < 1:
         raise DomainError(f"max_defects must be at least 1, got {max_defects!r}")
-    rates = -np.log(prof) / wait
+    with np.errstate(over="ignore"):  # a tiny wait or profile overflows the rates
+        rates = -np.log(prof) / wait
+    if not np.isfinite(rates).all():
+        raise FitEvaluationError("the rates -ln(profile)/wait overflow the float range")
 
     found: list[FitResult] = []
     residual = rates.copy()

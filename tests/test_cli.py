@@ -1240,8 +1240,8 @@ def _generic_json(path) -> str:
 
 
 def test_report_past_the_plain_float_range_is_written_by_the_json_encoder(tmp_path, capsys):
-    # Two finite 1e308 ohm resistances sum past the float range, so the report
-    # renderer hands the rows to json's encoder.
+    # Two finite 1e308 ohm resistances sum past the float range; the report
+    # renderer still writes each value as json's encoder does.
     junctions = tuple(
         jt.JunctionRecord(id=f"W-J{k}", design_xy=(50.0 * k, 0.0), area=0.1, resistance=1e308)
         for k in range(2)

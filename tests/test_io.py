@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -697,8 +698,8 @@ RECORD_IDS = st.text(max_size=6) | st.sampled_from(
     [",", '"', "\n", "\r", "\\", "é", "ключ", "", 'a,"b"\r\n', '\n  "junctions": null'])
 RECORD_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -3.5e17, 1.7976931348623157e308])
-# One value in 20 sends its record set to the generic encoder: a non-finite
-# float, an integer or a numpy float. The rest keep many sets on the renderers' own path.
+# One value in 20 is a non-finite float, whose json spelling the renderers look
+# up, an integer or a numpy float, whose str is json's text. The rest are finite floats.
 ODD_NUMBERS = (st.sampled_from([math.inf, -math.inf, math.nan]) | st.integers(-10**6, 10**6)
                | RECORD_FLOATS.map(np.float64))
 RECORD_NUMBERS = st.sampled_from([RECORD_FLOATS] * 19 + [ODD_NUMBERS]).flatmap(lambda s: s)
@@ -784,3 +785,36 @@ class TestRecordRenderers:
         assert jio.traces_csv(traces) == _csv_writer_text(
             ["junction_id", "iteration", "measured_r_ohm", "inferred_f_ghz", "power_mw",
              "sampled_shift", "outcome"], rows)
+
+
+# The values whose str json spells otherwise (bools, None, NaN, the infinities),
+# beside an int, a numpy float and two finite floats whose sum overflows.
+SPELLED = [True, False, None, math.nan, math.inf, -math.inf, 7, np.float64(0.1), 1e308, 1e308]
+
+
+def test_renderers_write_each_value_as_json_does():
+    # Each number slot holds each value in turn; a slot divided by 1e9 skips None.
+    # The shots are unvalidated stand-ins with LasingRecipe's fields.
+    turns = [SPELLED[k:] + SPELLED[:k] for k in range(len(SPELLED))]
+    scaled = [[v for v in turn if v is not None] for turn in turns]
+    shots = [types.SimpleNamespace(power=t[0], exposure=t[1], repetitions=t[2], displacement=t[3])
+             for t in turns]
+    report = BatchReport("W", tuple(BatchRow(f"J{k}", t[0], t[1], "passed", t[2])
+                                    for k, t in enumerate(turns)), 0)
+    entries = [(f"J{k}", s[0], s[1], t[0], shots[k:k + 2])
+               for k, (t, s) in enumerate(zip(turns, scaled))]
+    traces = [TuneTrace(f"J{k}", s[0], (TuneIteration(t[1], s[1], shots[k], t[2]),
+                                        TuneIteration(t[3], s[2], None, None)), "converged", t[4])
+              for k, (t, s) in enumerate(zip(turns, scaled))]
+    lines: list[str] = []
+    text = "".join(jio.batch_report_json(report, lines))
+    assert text == jio.json_text(jio.batch_report_to_doc(report))
+    assert "".join(lines) == jio.batch_report_csv(report)
+    text = "".join(jio.plan_json("W", entries))
+    assert text == jio.json_text(jio.plan_to_doc("W", entries))
+    lines = []
+    text = "".join(jio.traces_json(traces, lines))
+    assert text == jio.json_text(jio.traces_to_doc(traces))
+    assert "".join(lines) == jio.traces_csv(traces)
+    for word in ("true", "false", "null", "NaN", "-Infinity", "1e+308"):
+        assert word in text, word

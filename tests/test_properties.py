@@ -223,8 +223,8 @@ def _fit(kind: str, header: str, points) -> dict:
         return json.loads(out.read_text())
 
 
-# The CLI fits its own numpy copies of the dose curves; noise-free data drawn
-# with dose's scalar formulas must give back the parameters that drew it.
+# `fit dose` fits the numpy copy of the dose curve in dose.fit_dose_curve; noise-free
+# data drawn with dose's scalar formulas must give back the parameters that drew it.
 @given(st.floats(0.005, 0.05), st.floats(10.0, 80.0))
 def test_fit_dose_recovers_the_saturation_curve(plateau, t0):
     response = dose.DoseResponseParams(plateau_m=plateau, char_temperature_t0=t0)
