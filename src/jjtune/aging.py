@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
+from .fitkit import FitResult, ModelSpec, fit_curve
 
 __all__ = [
     "AgingParams",
@@ -134,14 +134,13 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     t, y = t[order], y[order]
     span = float(t.max() - t.min())
     first, last = float(y[0]), float(y[-1])  # inf - inf is nan here, with no numpy warning
-    data = Dataset(inputs=t, observations=y)
-    fit = fit_curve(_AGING_SPEC, data, [last, last - first, span / 3.0])
+    fit = fit_curve(_AGING_SPEC, t, y, [last, last - first, span / 3.0])
     if fit.params[2] <= _AGING_SPEC.bounds[2][0]:
         # A step at day 0, a local minimum the fit cannot leave once tau
         # starts far above its value: start again from the half-way day.
         half = np.abs(y - first) >= 0.5 * abs(last - first)
         tau = max(float(t[np.argmax(half)] - t[0]), 1e-3)
-        refit = fit_curve(_AGING_SPEC, data, [last, last - first, tau])
+        refit = fit_curve(_AGING_SPEC, t, y, [last, last - first, tau])
         if refit.residual_norm < fit.residual_norm:
             return refit
     return fit

@@ -178,10 +178,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         return 0
 
     fit, names = _fit_aging_cmd(args) if args.kind == "aging" else _FITS[args.kind](args.data)
-    doc = jio.fit_report_doc(
-        args.kind, names, fit.params, fit.std_errors, fit.residual_norm, fit.converged,
-        fit.iterations,
-    )
+    doc = jio.fit_report_doc(args.kind, names, fit)
     jio.write_json(out_path, doc)
     rendered = ", ".join(f"{k}={v:.6g}" for k, v in doc["params"].items())
     print(f"{args.kind}: {rendered} (converged={fit.converged})")

@@ -211,7 +211,6 @@ class DoseModel:
 
     heating: HeatingParams = HeatingParams()
     response: DoseResponseParams = DoseResponseParams()
-    beam: BeamGeometry = BeamGeometry()
     displacement: DisplacementParams = DisplacementParams()
     stochastic: StochasticParams = StochasticParams()
 
@@ -242,7 +241,7 @@ def mean_shift_vs_temperature(
 def fit_dose_curve(powers: np.ndarray, shifts: np.ndarray) -> FitResult:
     """Fit ``mean_shift_vs_temperature``'s (m, b, T0) to saturated shifts vs power
     (mW) at the default heating, from m = the top shift, b = 2 m and T0 = 30 degC."""
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .fitkit import ModelSpec, fit_curve
 
     heating = HeatingParams()
 
@@ -252,7 +251,7 @@ def fit_dose_curve(powers: np.ndarray, shifts: np.ndarray) -> FitResult:
 
     spec = ModelSpec(model, DOSE_FIT_NAMES, ((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)))
     top = float(shifts.max())
-    return fit_curve(spec, Dataset(powers, shifts), [top, 2.0 * top, 30.0])
+    return fit_curve(spec, powers, shifts, [top, 2.0 * top, 30.0])
 
 
 def absorption_fraction(displacement: float, beam: BeamGeometry = BeamGeometry()) -> float:
@@ -300,7 +299,7 @@ def displacement_response(
 def fit_displacement_curve(displacement: np.ndarray, response: np.ndarray) -> FitResult:
     """Fit ``displacement_response`` as scale * absorption * (exp(-D / D0) + B / A)
     vs D (um), from the top response / 0.37, D0 = 10 um and B / A = 0.002."""
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .fitkit import ModelSpec, fit_curve
 
     absorbed = np.array([absorption_fraction(v) for v in displacement.tolist()])
 
@@ -309,7 +308,7 @@ def fit_displacement_curve(displacement: np.ndarray, response: np.ndarray) -> Fi
 
     spec = ModelSpec(model, DISPLACEMENT_FIT_NAMES, ((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)))
     seed = [float(response.max()) / 0.37, 10.0, 0.002]
-    return fit_curve(spec, Dataset(displacement, response), seed)
+    return fit_curve(spec, displacement, response, seed)
 
 
 def exposure_factor(

@@ -11,10 +11,11 @@ lands exactly on the current point (the step vanished under clamping or
 float resolution) is rejected without running the model.
 
 Every nonlinear fit in the package (dose plateau, aging, Lorentzian defect,
-Stark conversion, barrier thickness) goes through ``fit_curve``, with one
-configuration: at most 200 iterations, a relative step tolerance of 1e-10,
-damping starting at 1e-3 and multiplied or divided by 10 per rung, and an
-eigenvalue cutoff of 1e-12 for the covariance.
+Stark conversion, barrier thickness) goes through ``fit_curve``, which fits
+observations y at inputs x, two plain arrays, with one configuration: at
+most 200 iterations, a relative step tolerance of 1e-10, damping starting
+at 1e-3 and multiplied or divided by 10 per rung, and an eigenvalue cutoff
+of 1e-12 for the covariance.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, FitEvaluationError
 
-__all__ = ["ModelSpec", "Dataset", "FitResult", "fit_curve"]
+__all__ = ["ModelSpec", "FitResult", "fit_curve"]
 
 _EPS_STEP = float(np.sqrt(np.finfo(float).eps))
 _DAMPING_MAX = 1e14     # rungs at or above this are not tried
@@ -58,14 +59,6 @@ class ModelSpec:
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise DomainError(f"empty bounds interval ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Observations y at inputs x."""
-
-    inputs: np.ndarray
-    observations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,8 @@ def _covariance_std(jtj: np.ndarray, s2: float) -> np.ndarray:
     return std
 
 
-def fit_curve(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult:
-    """Fit model parameters to data by damped least squares.
+def fit_curve(model: ModelSpec, x: np.ndarray, y: np.ndarray, p0: Sequence[float]) -> FitResult:
+    """Fit model parameters to observations y at inputs x by damped least squares.
 
     Starts from p0 (clamped into bounds), accepts only cost-reducing steps,
     and reports convergence when an accepted step moves every parameter by
@@ -163,12 +156,12 @@ def fit_curve(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult
     fit checks every model value itself.
     """
     with np.errstate(all="ignore"):
-        return _fit(model, data, p0)
+        return _fit(model, x, y, p0)
 
 
-def _fit(model: ModelSpec, data: Dataset, p0: Sequence[float]) -> FitResult:
-    x = np.asarray(data.inputs, dtype=float)
-    y = np.asarray(data.observations, dtype=float)
+def _fit(model: ModelSpec, x: np.ndarray, y: np.ndarray, p0: Sequence[float]) -> FitResult:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = y.size
     p = np.asarray(list(p0), dtype=float)
     if p.size != len(model.parameter_names):

@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import DomainError, SchemaError
 
-if TYPE_CHECKING:  # each reader imports the types it builds when it runs
+if TYPE_CHECKING:  # annotations only: each reader imports the types it builds when it runs
     from .aging import AgingSeries
     from .dose import LasingRecipe
+    from .fitkit import FitResult
     from .tls import QubitNoiseModel, SpectroMap, TlsExtraction
     from .tuner import TuneTrace
     from .wafer import BatchReport, WaferLayout
@@ -369,7 +370,11 @@ def batch_report_to_doc(report: BatchReport) -> dict:
 def batch_report_json(report: BatchReport, csv_lines: list[str] | None = None) -> Iterator[str]:
     """``json_text(batch_report_to_doc(report))`` in pieces, from the rows; with
     ``csv_lines`` a list, the lines of ``batch_report_csv(report)`` are appended
-    to it as the pieces are made, each value formatted once for both."""
+    to it as the pieces are made, each value formatted once for both.
+
+    Ids and statuses must be ``str`` and numbers ``float`` or ``int``, as in
+    ``BatchRow``: each number is written as its unchecked ``str``, so a value
+    of another type may not match ``batch_report_to_doc``."""
     def item(row) -> str:
         jid, before, after, status, shift = row
         before, after, shift = str(before), str(after), str(shift)
@@ -489,22 +494,14 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> list[tuple[float, ...
     return [values for _, values in rows]
 
 
-def fit_report_doc(
-    model_name: str,
-    parameter_names: Sequence[str],
-    params: Sequence[float],
-    std_errors: Sequence[float],
-    residual_norm: float,
-    converged: bool,
-    iterations: int,
-) -> dict:
+def fit_report_doc(model_name: str, parameter_names: Sequence[str], fit: FitResult) -> dict:
     return {
         "model": model_name,
-        "params": {name: float(v) for name, v in zip(parameter_names, params)},
-        "std_errors": {name: float(v) for name, v in zip(parameter_names, std_errors)},
-        "residual_norm": float(residual_norm),
-        "converged": bool(converged),
-        "iterations": int(iterations),
+        "params": {name: float(v) for name, v in zip(parameter_names, fit.params)},
+        "std_errors": {name: float(v) for name, v in zip(parameter_names, fit.std_errors)},
+        "residual_norm": float(fit.residual_norm),
+        "converged": fit.converged,
+        "iterations": int(fit.iterations),
     }
 
 
@@ -707,7 +704,11 @@ def plan_to_doc(wafer_id: str, entries: Sequence[tuple]) -> dict:
 
 
 def plan_json(wafer_id: str, entries: Sequence[tuple]) -> Iterator[str]:
-    """``json_text(plan_to_doc(wafer_id, entries))`` in pieces, from the entries."""
+    """``json_text(plan_to_doc(wafer_id, entries))`` in pieces, from the entries.
+
+    Ids must be ``str`` and numbers ``float`` or ``int``, as in ``LasingRecipe``:
+    each number is written as its unchecked ``str``, so a value of another
+    type may not match ``plan_to_doc``."""
     def shot_text(shot) -> str:
         return (
             f'{{\n          "displacement_um": {_number(shot.displacement)},\n'
@@ -769,7 +770,11 @@ def traces_summary(traces: Sequence[TuneTrace]) -> dict:
 def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None) -> Iterator[str]:
     """``json_text(traces_to_doc(traces))`` in pieces, from the traces; with
     ``csv_lines`` a list, the lines of ``traces_csv(traces)`` are appended to
-    it as the pieces are made, each value formatted once for both."""
+    it as the pieces are made, each value formatted once for both.
+
+    Ids and outcomes must be ``str`` and numbers ``float`` or ``int`` (or
+    ``None`` where ``TuneIteration`` allows it): each number is written as its
+    unchecked ``str``, so a value of another type may not match ``traces_to_doc``."""
     def item(trace) -> str:
         if csv_lines is not None:
             jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)

@@ -163,7 +163,7 @@ def fit_barrier(thickness: np.ndarray, area: np.ndarray, resistance: np.ndarray)
     thicknesses whose squares all underflow, are refused."""
     import numpy as np
 
-    from .fitkit import Dataset, ModelSpec, fit_curve
+    from .fitkit import ModelSpec, fit_curve
 
     with np.errstate(all="ignore"):
         resistance_area = area * resistance
@@ -185,4 +185,4 @@ def fit_barrier(thickness: np.ndarray, area: np.ndarray, resistance: np.ndarray)
         slope, intercept = np.polyfit(thickness, np.log(resistance_area), 1)
         prefactor = float(np.exp(intercept))
     tau = 1.0 / float(slope) if slope > 0 else spec.bounds[1][1]
-    return fit_curve(spec, Dataset(thickness, resistance_area), [prefactor, tau])
+    return fit_curve(spec, thickness, resistance_area, [prefactor, tau])

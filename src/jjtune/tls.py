@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FitEvaluationError
-from .fitkit import Dataset, FitResult, ModelSpec, fit_curve
+from .fitkit import FitResult, ModelSpec, fit_curve
 
 __all__ = [
     "StaticDynamics",
@@ -290,7 +290,7 @@ def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     top = int(np.argmax(np.abs(shifts)))
     reach = abs(float(shifts[top])) + _TONE_DETUNING  # overflows to inf without a numpy warning
     a0 = math.sqrt(max(reach * reach - _TONE_DETUNING * _TONE_DETUNING, 1e6)) / max(amps[top], 1e-9)
-    return fit_curve(spec, Dataset(inputs=amps, observations=shifts), [a0])
+    return fit_curve(spec, amps, shifts, [a0])
 
 
 def _evolve(defect: TlsDefect, offset_now: float, step_s: float, carry: float, rng: np.random.Generator):
@@ -405,7 +405,7 @@ def _fit_one_defect(offsets: np.ndarray, rates: np.ndarray) -> FitResult:
         ),
     )
     p0 = [float(offsets[i_peak]), math.sqrt(peak_excess * 1e6 / 2.0), 1e6, base]
-    return fit_curve(spec, Dataset(inputs=offsets, observations=rates), p0)
+    return fit_curve(spec, offsets, rates, p0)
 
 
 def _excess_significant(fit: FitResult) -> bool:

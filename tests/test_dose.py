@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import jjtune as jt
 from jjtune.errors import DomainError, InfeasibleError
-from jjtune.fitkit import Dataset, ModelSpec, fit_curve
+from jjtune.fitkit import ModelSpec, fit_curve
 
 MU_DEFAULT = 0.01747175742090387      # 40 mW x 60 s on target
 MU_CEILING = 0.0177811700609759       # 49.99 mW single shot
@@ -74,7 +74,7 @@ def test_exposure_sweep_recovers_saturation_scale():
         ("ceiling", "u0"),
         bounds=((1e-9, np.inf), (1e-6, np.inf)),
     )
-    fit = fit_curve(spec, Dataset(exposures, shifts), [shifts[-1], 1.0])
+    fit = fit_curve(spec, exposures, shifts, [shifts[-1], 1.0])
     assert fit.converged
     assert fit.params[1] == pytest.approx(1.5, rel=1e-9)
     assert fit.params[0] == pytest.approx(MU_DEFAULT, rel=1e-9)

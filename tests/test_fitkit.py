@@ -10,7 +10,7 @@ import pytest
 import jjtune as jt
 from jjtune import fitkit
 from jjtune.errors import DomainError, FitEvaluationError
-from jjtune.fitkit import Dataset, ModelSpec, fit_curve
+from jjtune.fitkit import ModelSpec, fit_curve
 
 
 def _exp_model(p, x):
@@ -25,7 +25,7 @@ def test_noiseless_recovery_is_exact():
     x = np.linspace(0.0, 30.0, 12)
     truth = np.array([0.21, 0.12, 10.4])
     y = _exp_model(truth, x)
-    fit = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
+    fit = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert fit.converged
     assert np.allclose(fit.params, truth, rtol=1e-8)
     assert fit.residual_norm < 1e-10
@@ -36,7 +36,7 @@ def test_cost_never_worse_than_start():
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
     p0 = np.array([5.0, -3.0, 80.0])
     start = float(np.sum((y - _exp_model(p0, x)) ** 2))
-    fit = fit_curve(EXP_SPEC, Dataset(x, y), p0)
+    fit = fit_curve(EXP_SPEC, x, y, p0)
     assert fit.residual_norm ** 2 <= start
 
 
@@ -44,8 +44,8 @@ def test_determinism():
     rng = np.random.default_rng(2)
     x = np.linspace(0.0, 30.0, 25)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.003, x.size)
-    f1 = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
-    f2 = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
+    f1 = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
+    f2 = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert np.array_equal(f1.params, f2.params)
     assert np.array_equal(f1.std_errors, f2.std_errors)
     assert f1.iterations == f2.iterations
@@ -64,7 +64,7 @@ def test_each_iteration_reuses_the_accepted_evaluation():
     x = np.linspace(0.0, 30.0, 12)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
     spec = ModelSpec(counting, ("a", "b", "tau"), (OPEN,) * 3)
-    fit = fit_curve(spec, Dataset(x, y), [0.3, 0.3, 5.0])
+    fit = fit_curve(spec, x, y, [0.3, 0.3, 5.0])
     assert fit.converged
     assert len(calls) == 1 + fit.iterations * 4
     assert len(set(calls)) == len(calls)
@@ -74,7 +74,7 @@ def test_noisy_fit_is_pinned_bit_for_bit():
     rng = np.random.default_rng(2)
     x = np.linspace(0.0, 30.0, 25)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.003, x.size)
-    fit = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
+    fit = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert [v.hex() for v in fit.params.tolist()] == [
         "0x1.ac0ceff733807p-3", "0x1.ec60d9f8da4a5p-4", "0x1.4209c57b54419p+3",
     ]
@@ -89,7 +89,7 @@ def test_non_finite_model_raises():
     spec = ModelSpec(lambda p, x: np.log(p[0] - x), ("edge",), (OPEN,))
     with np.errstate(invalid="ignore"):
         with pytest.raises(FitEvaluationError):
-            fit_curve(spec, Dataset(np.array([0.0, 1.0, 2.0, 5.0]), np.zeros(4)), [3.0])
+            fit_curve(spec, np.array([0.0, 1.0, 2.0, 5.0]), np.zeros(4), [3.0])
 
 
 def _overflowing_fit():
@@ -97,14 +97,14 @@ def _overflowing_fit():
     # onto its lower bound, where exp(t / tau) overflows.
     spec = ModelSpec(lambda p, t: p[0] * np.exp(t / p[1]), ("a", "tau"),
                      bounds=((1e-12, np.inf), (1e-3, 100.0)))
-    data = Dataset(np.array([1.0, 2.0, 3.0, 4.0]), np.array([100.0, 5.0, 2000.0, 10.0]))
+    data = np.array([1.0, 2.0, 3.0, 4.0]), np.array([100.0, 5.0, 2000.0, 10.0])
     return spec, data
 
 
 def test_non_finite_trial_carries_the_fit_at_the_last_accepted_point():
     spec, data = _overflowing_fit()
     with pytest.raises(FitEvaluationError, match="non-finite values") as info:
-        fit_curve(spec, data, [70.0, 100.0])
+        fit_curve(spec, *data, [70.0, 100.0])
     fit = info.value.fit
     assert fit.termination == "non_finite" and not fit.converged
     assert fit.params.tolist() == [70.0, 100.0] and fit.iterations == 1
@@ -114,14 +114,14 @@ def test_non_finite_trial_carries_the_fit_at_the_last_accepted_point():
 def test_non_finite_start_carries_no_fit():
     spec, data = _overflowing_fit()
     with pytest.raises(FitEvaluationError) as info:
-        fit_curve(spec, data, [70.0, 1e-3])  # no warning either: the fit silences numpy
+        fit_curve(spec, *data, [70.0, 1e-3])  # no warning either: the fit silences numpy
     assert info.value.fit is None
 
 
 def test_bounds_clamp_start_and_steps():
     spec = ModelSpec(lambda p, x: p[0] * x, ("slope",), bounds=((0.0, 2.0),))
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    fit = fit_curve(spec, Dataset(x, 5.0 * x), [-7.0])  # optimum 5 sits above the box
+    fit = fit_curve(spec, x, 5.0 * x, [-7.0])  # optimum 5 sits above the box
     assert fit.params[0] == pytest.approx(2.0)
 
 
@@ -132,17 +132,17 @@ def test_validation_errors():
         ModelSpec(lambda p, x: x, ("a", "b"), bounds=((0.0, 1.0),))
     spec = ModelSpec(lambda p, x: p[0] * x, ("a",), (OPEN,))
     with pytest.raises(DomainError):
-        fit_curve(spec, Dataset(np.array([1.0]), np.array([1.0])), [1.0, 2.0])
+        fit_curve(spec, np.array([1.0]), np.array([1.0]), [1.0, 2.0])
     two = ModelSpec(lambda p, x: p[0] * x + p[1], ("a", "b"), (OPEN, OPEN))
     with pytest.raises(DomainError):
-        fit_curve(two, Dataset(np.array([1.0]), np.array([1.0])), [1.0, 2.0])
+        fit_curve(two, np.array([1.0]), np.array([1.0]), [1.0, 2.0])
 
 
 def test_unidentifiable_direction_reports_inf():
     # only the sum p0 + p1 enters the model; both get infinite errors
     spec = ModelSpec(lambda p, x: (p[0] + p[1]) * x, ("u", "v"), (OPEN, OPEN))
     x = np.linspace(1.0, 4.0, 8)
-    fit = fit_curve(spec, Dataset(x, 3.0 * x), [1.0, 1.0])
+    fit = fit_curve(spec, x, 3.0 * x, [1.0, 1.0])
     assert np.isinf(fit.std_errors).all()
     assert fit.params[0] + fit.params[1] == pytest.approx(3.0, rel=1e-9)
 
@@ -152,7 +152,7 @@ def test_a_model_that_ignores_its_parameter_stalls_at_the_start():
     # no information about the parameter.
     spec = ModelSpec(lambda p, x: np.ones_like(x), ("c",), (OPEN,))
     x = np.linspace(0.0, 1.0, 5)
-    fit = fit_curve(spec, Dataset(x, 2.0 * x), [0.5])
+    fit = fit_curve(spec, x, 2.0 * x, [0.5])
     assert fit.params.tolist() == [0.5]
     assert fit.std_errors.tolist() == [np.inf]
     assert (fit.termination, fit.iterations) == ("stalled", 1)
@@ -163,7 +163,7 @@ def test_iteration_budget_respected(monkeypatch):
     x = np.linspace(0.0, 30.0, 40)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.01, x.size)
     monkeypatch.setattr(fitkit, "_MAX_ITERATIONS", 3)
-    fit = fit_curve(EXP_SPEC, Dataset(x, y), [0.3, 0.3, 5.0])
+    fit = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert fit.iterations <= 3
 
 
@@ -187,7 +187,7 @@ def test_lorentzian_error_bars_have_coverage():
     for trial in range(n_trials):
         rng = np.random.default_rng(40_000 + trial)
         y = clean + rng.normal(0.0, 300.0, x.size)
-        fit = fit_curve(spec, Dataset(x, y), [1e6, 60e3, 2e6, 20000.0])
+        fit = fit_curve(spec, x, y, [1e6, 60e3, 2e6, 20000.0])
         assert fit.converged
         covered += np.abs(fit.params - truth) <= 3.0 * fit.std_errors
     assert (covered >= 0.95 * n_trials).all()
@@ -207,7 +207,7 @@ def test_no_model_run_at_an_unchanged_point():
     x = np.linspace(0.0, 30.0, 25)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x) + rng.normal(0, 0.003, x.size)
     spec = ModelSpec(counting, EXP_SPEC.parameter_names, bounds=EXP_SPEC.bounds)
-    fit = fit_curve(spec, Dataset(x, y), [0.3, 0.3, 5.0])
+    fit = fit_curve(spec, x, y, [0.3, 0.3, 5.0])
     assert len(calls) == 54
     assert len(set(calls)) == len(calls)
     assert fit.residual_norm.hex() == "0x1.97b6248c8acf7p-7"
@@ -217,15 +217,14 @@ def test_no_model_run_at_an_unchanged_point():
 def test_termination_reasons(monkeypatch):
     x = np.linspace(0.0, 30.0, 12)
     y = _exp_model(np.array([0.21, 0.12, 10.4]), x)
-    data = Dataset(x, y)
-    assert fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0]).termination == "step_tolerance"
+    assert fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0]).termination == "step_tolerance"
     with monkeypatch.context() as m:
         m.setattr(fitkit, "_MAX_ITERATIONS", 2)
-        short = fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0])
+        short = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert (short.termination, short.converged, short.iterations) == ("max_iterations", False, 2)
     # A ladder that starts at the damping ceiling has no rung to try.
     monkeypatch.setattr(fitkit, "_DAMPING_INIT", 1e14)
-    capped = fit_curve(EXP_SPEC, data, [0.3, 0.3, 5.0])
+    capped = fit_curve(EXP_SPEC, x, y, [0.3, 0.3, 5.0])
     assert (capped.termination, capped.converged, capped.iterations) == ("stalled", True, 1)
 
 
@@ -236,4 +235,4 @@ def test_p0_length_checked_before_clamping_to_bounds(p0, got):
     spec = ModelSpec(lambda p, x: p[0] * x + p[1], ("a", "b"), bounds=((0.0, 5.0), (0.0, 5.0)))
     x = np.array([1.0, 2.0, 3.0])
     with pytest.raises(DomainError, match=f"expected 2 initial parameters, got {got}"):
-        fit_curve(spec, Dataset(x, 2.0 * x + 1.0), p0)
+        fit_curve(spec, x, 2.0 * x + 1.0, p0)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fitkit_oracle
 from jjtune import fitkit
-from jjtune.fitkit import _DAMPING_MAX, Dataset, ModelSpec, _damped_steps, fit_curve
+from jjtune.fitkit import _DAMPING_MAX, ModelSpec, _damped_steps, fit_curve
 
 OPEN = (-np.inf, np.inf)
 
@@ -120,7 +120,7 @@ def test_fit_curve_matches_the_original_loop(case, bounds, seed, noisy, jitter, 
     with mock.patch.multiple(fitkit, _MAX_ITERATIONS=max_iterations, _TOLERANCE=tolerance,
                              _DAMPING_INIT=damping_init, _DAMPING_UP=damping_up,
                              _DAMPING_DOWN=damping_down):
-        result = _run(fit_curve, spec, Dataset(x, y), p0)
+        result = _run(fit_curve, spec, x, y, p0)
     expected = _run(fitkit_oracle.fit_curve, spec, fitkit_oracle.Dataset(x, y), p0, options)
     assert _outcome(result) == _outcome(expected)
     if isinstance(result, Exception):

@@ -16,6 +16,7 @@ import jjtune.io as jio
 from jjtune.cli import main
 from jjtune.dose import DoseModel, LasingRecipe, StochasticParams
 from jjtune.errors import InfeasibleError, SchemaError
+from jjtune.fitkit import FitResult
 from jjtune.tuner import TuneIteration, TuneTrace
 from jjtune.wafer import BatchReport, BatchRow
 
@@ -550,14 +551,18 @@ class TestNoiseModelDocs:
 
 
 class TestDerivedDocs:
-    def test_fit_report_structure(self):
-        doc = jio.fit_report_doc("dose", ("m", "t0"), (0.018, 28.0), (1e-4, 0.5), 0.01, True, 7)
+    @pytest.mark.parametrize("termination, converged", [
+        ("step_tolerance", True), ("stalled", True), ("max_iterations", False), ("non_finite", False),
+    ])
+    def test_fit_report_structure(self, termination, converged):
+        fit = FitResult(np.array([0.018, 28.0]), np.array([1e-4, 0.5]), 0.01, 7, termination)
+        doc = jio.fit_report_doc("dose", ("m", "t0"), fit)
         assert doc == {
             "model": "dose",
             "params": {"m": 0.018, "t0": 28.0},
             "std_errors": {"m": 1e-4, "t0": 0.5},
             "residual_norm": 0.01,
-            "converged": True,
+            "converged": converged,
             "iterations": 7,
         }
 

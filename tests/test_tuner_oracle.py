@@ -51,12 +51,11 @@ def models(draw):
         # A + B overflows: the transfer at zero displacement is infinite.
         st.just(replace(base.displacement, transfer_amp_a=1e308, transfer_offset_b=1e308)),
     ))
-    beam = draw(_maybe(base.beam, waist=_floats(0.2, 3.0), electrode_extent=_floats(0.0, 10.0)))
     stochastic = draw(_maybe(
         base.stochastic, relative_sigma=_floats(0.0, 0.1), shift_floor=_floats(-0.01, 0.0),
     ))
     return replace(base, heating=heating, response=response, displacement=displacement,
-                   beam=beam, stochastic=stochastic)
+                   stochastic=stochastic)
 
 
 exposures = st.one_of(
