@@ -9,6 +9,7 @@ written atomically; stochastic commands are deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -102,8 +103,10 @@ def _fit_or_partial(fitter, *args) -> FitResult:
 def _fit_columns(path: str, columns: list[str], kind: str) -> list[np.ndarray]:
     """The fit CSV's columns, one contiguous array each. The first must hold
     at least 2 distinct values (exit 2): one value identifies no curve along it."""
+    from .fitkit import _distinct_count
+
     arrays = [np.array(column) for column in zip(*jio.read_columns_csv(path, columns))]
-    if np.unique(arrays[0]).size < 2:
+    if _distinct_count(arrays[0]) < 2:
         raise SchemaError(f"{path}: need at least 2 distinct values in column '{columns[0]}' "
                           f"to fit {kind}")
     return arrays
@@ -395,7 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Cyclic garbage collection is off while it runs: no
+    command builds reference cycles, so a pass would only re-walk the loaded
+    documents and records, which refcounting frees. The caller's setting is
+    restored on every exit."""
     args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (SchemaError, DomainError) as exc:
@@ -407,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -86,13 +86,22 @@ class FitResult:
 
 def _evaluate(model: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = np.asarray(model.evaluator(p, x), dtype=float)
-    # A sum is finite only if every term is; an overflowing sum of finite
-    # values falls through to the full check.
-    if not math.isfinite(y.sum()) and not np.isfinite(y).all():
+    # A sum of squares is finite only if every value is; finite values whose
+    # squares overflow fall through to the full check.
+    if not math.isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
         raise FitEvaluationError(
             f"model returned non-finite values at parameters {p.tolist()}"
         )
     return y
+
+
+def _distinct_count(values: np.ndarray) -> int:
+    """``np.unique(values).size``: NaNs count as one value and -0.0 equals 0.0.
+    It sorts and compares, since ``np.unique`` imports ``numpy.ma`` to do it."""
+    ordered = np.sort(values, axis=None)
+    numbers = ordered[~np.isnan(ordered)]  # NaNs sort last
+    return (int(np.count_nonzero(numbers[1:] != numbers[:-1])) + (numbers.size > 0)
+            + (numbers.size < ordered.size))
 
 
 def _jacobian(model: ModelSpec, p: np.ndarray, x: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -102,7 +111,9 @@ def _jacobian(model: ModelSpec, p: np.ndarray, x: np.ndarray, f0: np.ndarray) ->
         h = _EPS_STEP * max(abs(pj0), 1.0)
         pj = p.copy()
         pj[j] = pj0 + h
-        jac[:, j] = (_evaluate(model, pj, x) - f0) / h
+        column = jac[:, j]  # the model's array may be shared: write into the column instead
+        np.subtract(_evaluate(model, pj, x), f0, out=column)
+        column /= h
     return jac
 
 

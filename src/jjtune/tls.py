@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FitEvaluationError
-from .fitkit import FitResult, ModelSpec, fit_curve
+from .fitkit import FitResult, ModelSpec, _distinct_count, fit_curve
 
 __all__ = [
     "StaticDynamics",
@@ -391,7 +391,10 @@ def _rate_model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _fit_one_defect(offsets: np.ndarray, rates: np.ndarray) -> FitResult:
     i_peak = int(np.argmax(rates))
-    base = float(np.median(rates))
+    # np.median of the NaN-free rates, bit for bit; its NaN check imports numpy.ma.
+    ordered = np.sort(rates)
+    half = ordered.size // 2
+    base = float(ordered[half] if ordered.size % 2 else (ordered[half - 1] + ordered[half]) / 2.0)
     peak_excess = max(float(rates[i_peak] - base), 1.0)
     span = float(offsets.max() - offsets.min())
     spec = ModelSpec(
@@ -441,7 +444,7 @@ def extract_tls(
     prof = np.asarray(list(profile), dtype=float)
     if offsets.size != prof.size:
         raise DomainError("profile and offset grid sizes differ")
-    if np.unique(offsets).size < 2:  # a peak's position and width need a spread of offsets
+    if _distinct_count(offsets) < 2:  # a peak's position and width need a spread of offsets
         raise DomainError("need at least 2 distinct frequency offsets to extract defects")
     if np.any(prof <= 0):
         raise DomainError("profile must be strictly positive to infer rates")

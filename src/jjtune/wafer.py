@@ -22,7 +22,6 @@ import numpy as np
 
 from .dose import DoseModel, LasingRecipe, mean_shift, realized_shift
 from .errors import DomainError
-from .streams import stream_rngs
 
 __all__ = [
     "WaferLayout",
@@ -222,6 +221,8 @@ def run_batch(
     an annealed resistance overflows to infinity is refused, naming the
     first such junction by id.
     """
+    from .streams import stream_rngs  # here, so that a wafer's reader loads no hashlib
+
     junctions = wafer.junctions
     rows = []
     for junction, rng in zip(junctions, stream_rngs(master_seed, [j.id for j in junctions])):
@@ -264,6 +265,8 @@ def synthesize_wafer(
     """
     if rows < 1 or cols < 1:
         raise DomainError("grid must have at least one site")
+    from .streams import stream_rngs
+
     width = len(str(rows * cols - 1))
     ids = [f"{wafer_id}-J{index:0{width}d}" for index in range(rows * cols)]
     junctions = []

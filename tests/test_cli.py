@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files in, files out, stable exit codes."""
 
 import csv
+import gc
 import json
 import math
 
@@ -1272,3 +1273,55 @@ def test_plan_past_the_plain_float_range_is_written_by_the_json_encoder(tmp_path
     doc = json.loads(_generic_json(out))
     assert len(doc["junctions"]) == 3
     assert {shot["exposure_s"] for entry in doc["junctions"] for shot in entry["shots"]} == {1e308}
+
+
+def _dose_argv(tmp_path, rows):
+    return _fit_argv(tmp_path, "dose", "power_mw,shift_frac\n" + "".join(f"{p},{s}\n" for p, s in rows))
+
+
+def _over_ceiling_argv(tmp_path):
+    recipe = tmp_path / "recipe.json"
+    jio.write_json(str(recipe), {"power_mw": 60.0, "exposure_s": 60.0})
+    wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+    return ["--seed", "1", "simulate-wafer", write_wafer(tmp_path, wafer), str(recipe)]
+
+
+COLLECTOR_EXITS = {
+    0: lambda tmp: _dose_argv(tmp, [(p, jt.mean_shift(jt.LasingRecipe(power=p)))
+                                    for p in (5.0, 10.0, 20.0, 30.0, 40.0, 45.0)]),
+    2: lambda tmp: _dose_argv(tmp, [(20, 0.01), (20, 0.011), (20, 0.012)]),
+    3: _over_ceiling_argv,
+    4: lambda tmp: _dose_argv(tmp, [(1, 0.01), (2, -0.04), (13, 0.006), (27, -0.015),
+                                    (30, -0.005), (36, 0.0), (40, 0.004), (45, 0.03)]),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("code", sorted(COLLECTOR_EXITS))
+def test_main_restores_the_callers_collector_setting(tmp_path, capsys, code, collecting):
+    argv = COLLECTOR_EXITS[code](tmp_path)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_a_command_runs_with_the_collector_off(tmp_path, monkeypatch, capsys):
+    import jjtune.cli as cli
+
+    seen = []
+    run_batch = cli.run_batch
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_batch", spy)
+    wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+    assert gc.isenabled()
+    assert main(["--seed", "1", "--output", str(tmp_path / "out"), "simulate-wafer",
+                 write_wafer(tmp_path, wafer), write_recipe(tmp_path)]) == 0
+    assert seen == [False] and gc.isenabled()

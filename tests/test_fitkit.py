@@ -4,11 +4,16 @@ The Lorentzian coverage check cross-validates the reported standard errors
 against their frequentist meaning on 200 independent noisy datasets.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import jjtune as jt
 from jjtune import fitkit
+from jjtune.cli import main
 from jjtune.errors import DomainError, FitEvaluationError
 from jjtune.fitkit import ModelSpec, fit_curve
 
@@ -236,3 +241,53 @@ def test_p0_length_checked_before_clamping_to_bounds(p0, got):
     x = np.array([1.0, 2.0, 3.0])
     with pytest.raises(DomainError, match=f"expected 2 initial parameters, got {got}"):
         fit_curve(spec, x, 2.0 * x + 1.0, p0)
+
+
+def _scaled_line(p, x):
+    return p[0] * x
+
+
+def test_values_whose_squares_overflow_fit():
+    # Every value is finite, but their sum of squares overflows: the
+    # finiteness check falls back to testing each value.
+    spec = ModelSpec(_scaled_line, ("scale",), (OPEN,))
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert math.isinf(np.vdot(1e160 * x, 1e160 * x))
+    fit = fit_curve(spec, x, 1e160 * x, [1e160 * (1.0 + 1e-9)])
+    assert fit.converged
+    assert fit.params[0] == pytest.approx(1e160, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_among_overflowing_squares_raises(bad):
+    spec = ModelSpec(lambda p, x: np.where(x > 3.5, bad, p[0] * x), ("scale",), (OPEN,))
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(FitEvaluationError) as info:
+        fit_curve(spec, x, 1e160 * x, [1e160])
+    assert str(info.value) == "model returned non-finite values at parameters [1e+160]"
+
+
+@given(st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308,
+                                 -1.7e308, 1.0, 2.5]), max_size=8))
+def test_distinct_count_is_the_size_of_numpy_unique(values):
+    array = np.array(values, dtype=float)
+    assert fitkit._distinct_count(array) == np.unique(array).size
+
+
+def test_one_distinct_value_is_refused_with_each_callers_message(tmp_path, capsys):
+    # 0.0 and -0.0 are one value, as np.unique counts them.
+    with pytest.raises(DomainError) as info:
+        jt.extract_tls([0.0, -0.0, 0.0], [0.5, 0.4, 0.5], 40e-6)
+    assert str(info.value) == "need at least 2 distinct frequency offsets to extract defects"
+    dose = tmp_path / "dose.csv"
+    dose.write_text("power_mw,shift_frac\n0,0.01\n-0,0.011\n0.0,0.012\n")
+    aging = tmp_path / "aging.csv"
+    aging.write_text("junction_id,day,resistance_ohm,cohort,wafer\n"
+                     + "".join(f"J1,{day},{r},annealed,W1\n"
+                               for day, r in (("0", 7781), ("-0", 7790), ("0.0", 7795))))
+    out = str(tmp_path / "fit.json")
+    assert main(["--output", out, "fit", "dose", str(dose)]) == 2
+    assert capsys.readouterr().err == (f"input error: {dose}: need at least 2 distinct values "
+                                       "in column 'power_mw' to fit dose\n")
+    assert main(["--output", out, "fit", "aging", str(aging)]) == 2
+    assert capsys.readouterr().err == "input error: need at least 4 distinct sample days to fit aging\n"

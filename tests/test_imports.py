@@ -111,3 +111,48 @@ def test_plan_loads_no_fit_engine(tmp_path):
     loaded = _loaded(_main("--output", "plan.json", "plan", "wafer.json", "targets.json"), tmp_path)
     assert {"physics", "tuner", "dose"} <= loaded
     assert "fitkit" not in loaded
+
+
+def _modules(code, cwd):
+    """Every module in ``sys.modules`` after ``code``, jjtune's or not."""
+    return set(_last_line(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", cwd))
+
+
+def _tls_data(tmp_path):
+    model = jt.QubitNoiseModel(
+        gamma_1q=2e4, defects=(jt.TlsDefect(f_offset=1e6, coupling_g=8e4, gamma_total=1e6),),
+        readout_noise_sigma=0.01,
+    )
+    spectro = jt.simulate_map(model, np.arange(-5e6, 5e6, 2.5e5), duration=0.5, step=60.0,
+                              wait=40e-6, rng=jt.child_rng(1, "map"))
+    return jio.map_csv(spectro)
+
+
+def _dose_data(tmp_path):
+    return "power_mw,shift_frac\n" + "".join(
+        f"{p!r},{jt.mean_shift(jt.LasingRecipe(power=p))!r}\n" for p in (5.0, 10.0, 20.0, 30.0, 45.0))
+
+
+def _aging_data(tmp_path):
+    params = jt.REFERENCE_COHORTS["wafer1_annealed"]
+    return "junction_id,day,resistance_ohm,cohort,wafer\n" + "".join(
+        f"J1,{day!r},{7781.0 * (1.0 + jt.aging_shift(day, params))!r},annealed,W1\n"
+        for day in (0.0, 5.0, 10.0, 20.0, 30.0))
+
+
+@pytest.mark.parametrize("kind, data", [("tls", _tls_data), ("dose", _dose_data),
+                                        ("aging", _aging_data)])
+def test_fit_loads_no_masked_arrays(tmp_path, kind, data):
+    (tmp_path / "data.csv").write_text(data(tmp_path))
+    loaded = _modules(_main("--output", "fit.json", "fit", kind, "data.csv"), tmp_path)
+    assert f"jjtune.{'tls' if kind == 'tls' else 'fitkit'}" in loaded
+    assert "numpy.ma" not in loaded
+
+
+def test_plan_loads_no_hashlib(tmp_path):
+    wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
+    jio.write_json(str(tmp_path / "wafer.json"), jio.wafer_to_doc(wafer))
+    jio.write_json(str(tmp_path / "targets.json"), {"min_spacing_mhz": 50.0})
+    loaded = _modules(_main("--output", "plan.json", "plan", "wafer.json", "targets.json"), tmp_path)
+    assert "jjtune.wafer" in loaded
+    assert "hashlib" not in loaded and "jjtune.streams" not in loaded
