@@ -398,11 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. Cyclic garbage collection is off while it runs: no
-    command builds reference cycles, so a pass would only re-walk the loaded
-    documents and records, which refcounting frees. The caller's setting is
-    restored on every exit."""
     args = _build_parser().parse_args(argv)
+    # No command builds reference cycles, so a cyclic collection would only
+    # re-walk what refcounting frees. The caller's setting comes back on any exit.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -1321,7 +1321,7 @@ def test_a_command_runs_with_the_collector_off(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_batch", spy)
     wafer = jt.synthesize_wafer("W1", 2, 2, 50.0, 7781.0, 0.01, seed=3)
-    assert gc.isenabled()
+    before = gc.isenabled()
     assert main(["--seed", "1", "--output", str(tmp_path / "out"), "simulate-wafer",
                  write_wafer(tmp_path, wafer), write_recipe(tmp_path)]) == 0
-    assert seen == [False] and gc.isenabled()
+    assert seen == [False] and gc.isenabled() is before

@@ -243,14 +243,10 @@ def test_p0_length_checked_before_clamping_to_bounds(p0, got):
         fit_curve(spec, x, 2.0 * x + 1.0, p0)
 
 
-def _scaled_line(p, x):
-    return p[0] * x
-
-
 def test_values_whose_squares_overflow_fit():
     # Every value is finite, but their sum of squares overflows: the
     # finiteness check falls back to testing each value.
-    spec = ModelSpec(_scaled_line, ("scale",), (OPEN,))
+    spec = ModelSpec(lambda p, x: p[0] * x, ("scale",), (OPEN,))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert math.isinf(np.vdot(1e160 * x, 1e160 * x))
     fit = fit_curve(spec, x, 1e160 * x, [1e160 * (1.0 + 1e-9)])

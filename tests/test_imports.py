@@ -118,7 +118,7 @@ def _modules(code, cwd):
     return set(_last_line(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", cwd))
 
 
-def _tls_data(tmp_path):
+def _tls_data():
     model = jt.QubitNoiseModel(
         gamma_1q=2e4, defects=(jt.TlsDefect(f_offset=1e6, coupling_g=8e4, gamma_total=1e6),),
         readout_noise_sigma=0.01,
@@ -128,12 +128,12 @@ def _tls_data(tmp_path):
     return jio.map_csv(spectro)
 
 
-def _dose_data(tmp_path):
+def _dose_data():
     return "power_mw,shift_frac\n" + "".join(
         f"{p!r},{jt.mean_shift(jt.LasingRecipe(power=p))!r}\n" for p in (5.0, 10.0, 20.0, 30.0, 45.0))
 
 
-def _aging_data(tmp_path):
+def _aging_data():
     params = jt.REFERENCE_COHORTS["wafer1_annealed"]
     return "junction_id,day,resistance_ohm,cohort,wafer\n" + "".join(
         f"J1,{day!r},{7781.0 * (1.0 + jt.aging_shift(day, params))!r},annealed,W1\n"
@@ -141,11 +141,11 @@ def _aging_data(tmp_path):
 
 
 @pytest.mark.parametrize("kind, data", [("tls", _tls_data), ("dose", _dose_data),
-                                        ("aging", _aging_data)])
+                                        ("aging", _aging_data)], ids=["tls", "dose", "aging"])
 def test_fit_loads_no_masked_arrays(tmp_path, kind, data):
-    (tmp_path / "data.csv").write_text(data(tmp_path))
+    (tmp_path / "data.csv").write_text(data())
     loaded = _modules(_main("--output", "fit.json", "fit", kind, "data.csv"), tmp_path)
-    assert f"jjtune.{'tls' if kind == 'tls' else 'fitkit'}" in loaded
+    assert "jjtune.fitkit" in loaded
     assert "numpy.ma" not in loaded
 
 
