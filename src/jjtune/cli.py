@@ -112,47 +112,49 @@ def _fit_columns(path: str, columns: list[str], kind: str) -> list[np.ndarray]:
     return arrays
 
 
-def _fit_dose(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .dose import DOSE_FIT_NAMES, fit_dose_curve
+def _fit_dose(path: str) -> FitResult:
+    from .dose import fit_dose_curve
 
     columns = _fit_columns(path, ["power_mw", "shift_frac"], "dose")
-    return _fit_or_partial(fit_dose_curve, *columns), DOSE_FIT_NAMES
+    return _fit_or_partial(fit_dose_curve, *columns)
 
 
-def _fit_displacement(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .dose import DISPLACEMENT_FIT_NAMES, fit_displacement_curve
+def _fit_displacement(path: str) -> FitResult:
+    from .dose import fit_displacement_curve
 
     columns = _fit_columns(path, ["displacement_um", "response_frac"], "displacement")
-    return _fit_or_partial(fit_displacement_curve, *columns), DISPLACEMENT_FIT_NAMES
+    return _fit_or_partial(fit_displacement_curve, *columns)
 
 
-def _fit_barrier(path: str) -> tuple[FitResult, tuple[str, ...]]:
-    from .physics import BARRIER_FIT_NAMES, fit_barrier
+def _fit_barrier(path: str) -> FitResult:
+    from .physics import fit_barrier
 
     columns = _fit_columns(path, ["thickness_nm", "area_um2", "resistance_ohm"], "barrier")
-    return _fit_or_partial(fit_barrier, *columns), BARRIER_FIT_NAMES
+    return _fit_or_partial(fit_barrier, *columns)
 
 
-def _fit_stark_cmd(path: str) -> tuple[FitResult, tuple[str, ...]]:
+def _fit_stark_cmd(path: str) -> FitResult:
     from .tls import fit_stark
 
     rows = jio.read_columns_csv(path, ["amplitude", "shift_mhz"])
-    points = [(row[0], row[1] * 1e6) for row in rows]
-    fit = _fit_or_partial(fit_stark, points)
-    scaled = replace(
+    amplitudes, shifts_mhz = (np.array(column) for column in zip(*rows))
+    with np.errstate(over="ignore"):  # a shift beyond the float range in Hz is inf
+        shifts = shifts_mhz * 1e6
+    fit = _fit_or_partial(fit_stark, amplitudes, shifts)
+    return replace(
         fit,
+        parameter_names=("conv_a_mhz",),
         params=fit.params / 1e6,
         std_errors=fit.std_errors / 1e6,
         residual_norm=fit.residual_norm / 1e6,
     )
-    return scaled, ("conv_a_mhz",)
 
 
-def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]]:
-    from .aging import _AGING_SPEC, fit_aging
+def _fit_aging_cmd(args: argparse.Namespace) -> FitResult:
+    from .aging import fit_aging
 
     series = jio.read_aging_csv(args.data)
-    if args.wafer:
+    if args.wafer is not None:  # "" selects the series with an empty wafer cell
         series = [s for s in series if s.wafer_label == args.wafer]
     if args.cohort:
         series = [s for s in series if s.cohort == args.cohort]
@@ -164,7 +166,7 @@ def _fit_aging_cmd(args: argparse.Namespace) -> tuple[FitResult, tuple[str, ...]
         raise SchemaError(
             f"data mixes cohorts ({listing}); select one with --wafer/--cohort"
         )
-    return _fit_or_partial(fit_aging, *series), _AGING_SPEC.parameter_names
+    return _fit_or_partial(fit_aging, *series)
 
 
 _FITS = {"dose": _fit_dose, "displacement": _fit_displacement, "stark": _fit_stark_cmd,
@@ -180,8 +182,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         print(doc["outcome"])
         return 0
 
-    fit, names = _fit_aging_cmd(args) if args.kind == "aging" else _FITS[args.kind](args.data)
-    doc = jio.fit_report_doc(args.kind, names, fit)
+    fit = _fit_aging_cmd(args) if args.kind == "aging" else _FITS[args.kind](args.data)
+    doc = jio.fit_report_doc(args.kind, fit)
     jio.write_json(out_path, doc)
     rendered = ", ".join(f"{k}={v:.6g}" for k, v in doc["params"].items())
     print(f"{args.kind}: {rendered} (converged={fit.converged})")

@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 __all__ = [
     "HeatingParams",
     "DoseResponseParams",
-    "BeamGeometry",
     "DisplacementParams",
     "LasingRecipe",
     "StochasticParams",
@@ -56,16 +55,16 @@ __all__ = [
     "realized_shift",
     "apply_anneal",
     "default_dose_model",
-    "DOSE_FIT_NAMES",
-    "DISPLACEMENT_FIT_NAMES",
     "fit_dose_curve",
     "fit_displacement_curve",
 ]
 
 POWER_LIMIT_MW = 50.0
 _DISPLACEMENT_SCALE = 0.0404207352594069  # puts displacement_response's peak at 1.5e-2
-DOSE_FIT_NAMES = ("plateau_m", "depth_b", "char_temperature_t0_c")  # fit_dose_curve's
-DISPLACEMENT_FIT_NAMES = ("scale", "decay_d0_um", "transfer_offset_b")  # fit_displacement_curve's
+_WAIST = 0.81  # the Gaussian spot's 1/e^2 intensity radius (um)
+_SI_REFLECTANCE = 0.374
+_AL_REFLECTANCE = 0.92
+_ELECTRODE_EXTENT = 4.0  # half-width (um) of the metalized region along the displacement axis
 
 
 @dataclass(frozen=True)
@@ -108,27 +107,6 @@ class DoseResponseParams:
     def tied_depth(self, ambient: float) -> float:
         """The depth_b that puts the curve's zero at ambient (degC)."""
         return self.plateau_m * math.exp(ambient / self.char_temperature_t0)
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Gaussian spot geometry and surface reflectances.
-
-    waist is the 1/e^2 intensity radius in um; electrode_extent is the
-    half-width of the metalized region along the displacement axis.
-    """
-
-    waist: float = 0.81
-    si_reflectance: float = 0.374
-    al_reflectance: float = 0.92
-    electrode_extent: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.waist < math.inf and 0.0 <= self.electrode_extent < math.inf):
-            raise DomainError("beam geometry must have a positive finite waist and extent")
-        for r in (self.si_reflectance, self.al_reflectance):
-            if not 0.0 <= r < 1.0:
-                raise DomainError("reflectance must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -249,24 +227,25 @@ def fit_dose_curve(powers: np.ndarray, shifts: np.ndarray) -> FitResult:
         temperature = heating.slope * x + heating.ambient
         return p[0] - p[1] * np.exp(-temperature / p[2])
 
-    spec = ModelSpec(model, DOSE_FIT_NAMES, ((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)))
+    spec = ModelSpec(model, ("plateau_m", "depth_b", "char_temperature_t0_c"),
+                     ((1e-6, 1.0), (1e-6, 10.0), (1.0, 500.0)))
     top = float(shifts.max())
     return fit_curve(spec, powers, shifts, [top, 2.0 * top, 30.0])
 
 
-def absorption_fraction(displacement: float, beam: BeamGeometry = BeamGeometry()) -> float:
+def absorption_fraction(displacement: float) -> float:
     """Absorbed power fraction vs beam displacement (um) from the junction.
 
     The Gaussian spot straddles the electrode edge: the metalized fraction
-    absorbs 1 - al_reflectance, the exposed substrate 1 - si_reflectance.
-    Rises steeply once the spot walks off the metal at electrode_extent.
+    absorbs 1 - the aluminum reflectance, the exposed substrate 1 - the silicon
+    one. Rises steeply once the spot walks off the metal at the electrode's extent.
     """
     if not displacement >= 0:
         raise DomainError(f"displacement must be non-negative, got {displacement!r}")
     on_metal = 0.5 * (
-        1.0 + math.erf(math.sqrt(2.0) * (beam.electrode_extent - displacement) / beam.waist)
+        1.0 + math.erf(math.sqrt(2.0) * (_ELECTRODE_EXTENT - displacement) / _WAIST)
     )
-    return (1.0 - beam.al_reflectance) * on_metal + (1.0 - beam.si_reflectance) * (
+    return (1.0 - _AL_REFLECTANCE) * on_metal + (1.0 - _SI_REFLECTANCE) * (
         1.0 - on_metal
     )
 
@@ -282,7 +261,6 @@ def heat_transfer_factor(
 
 def displacement_response(
     displacement: float,
-    beam: BeamGeometry = BeamGeometry(),
     params: DisplacementParams = DisplacementParams(),
 ) -> float:
     """Measured fractional shift vs beam displacement at the reference dose.
@@ -291,7 +269,7 @@ def displacement_response(
     where substrate absorption has jumped but the junction is still close)
     sits at 1.5e-2. Falls below the unannealed drift band past ~30 um.
     """
-    return _DISPLACEMENT_SCALE * absorption_fraction(displacement, beam) * heat_transfer_factor(
+    return _DISPLACEMENT_SCALE * absorption_fraction(displacement) * heat_transfer_factor(
         displacement, params
     )
 
@@ -306,7 +284,8 @@ def fit_displacement_curve(displacement: np.ndarray, response: np.ndarray) -> Fi
     def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:
         return p[0] * absorbed * (np.exp(-d / p[1]) + p[2])
 
-    spec = ModelSpec(model, DISPLACEMENT_FIT_NAMES, ((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)))
+    spec = ModelSpec(model, ("scale", "decay_d0_um", "transfer_offset_b"),
+                     ((1e-9, 10.0), (0.1, 500.0), (1e-9, 1.0)))
     seed = [float(response.max()) / 0.37, 10.0, 0.002]
     return fit_curve(spec, displacement, response, seed)
 

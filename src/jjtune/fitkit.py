@@ -63,7 +63,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters and how the fit ended.
+    """Fitted parameters, named as in the fit's ``ModelSpec``, and how the fit ended.
 
     termination is "step_tolerance" (an accepted step moved every parameter
     by less than the tolerance), "stalled" (no rung of the damping ladder
@@ -73,6 +73,7 @@ class FitResult:
     ``FitEvaluationError`` that ``fit_curve`` raises).
     """
 
+    parameter_names: tuple[str, ...]
     params: np.ndarray
     std_errors: np.ndarray
     residual_norm: float
@@ -240,6 +241,7 @@ def _fit(model: ModelSpec, x: np.ndarray, y: np.ndarray, p0: Sequence[float]) ->
     std = (np.full(p.size, np.inf) if jac is None  # the Jacobian at the start was not finite
            else _covariance_std(jac.T @ jac, s2))
     fit = FitResult(
+        parameter_names=model.parameter_names,
         params=p,
         std_errors=std,
         residual_norm=float(np.sqrt(cost)),

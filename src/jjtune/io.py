@@ -494,11 +494,11 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> list[tuple[float, ...
     return [values for _, values in rows]
 
 
-def fit_report_doc(model_name: str, parameter_names: Sequence[str], fit: FitResult) -> dict:
+def fit_report_doc(model_name: str, fit: FitResult) -> dict:
     return {
         "model": model_name,
-        "params": {name: float(v) for name, v in zip(parameter_names, fit.params)},
-        "std_errors": {name: float(v) for name, v in zip(parameter_names, fit.std_errors)},
+        "params": {name: float(v) for name, v in zip(fit.parameter_names, fit.params)},
+        "std_errors": {name: float(v) for name, v in zip(fit.parameter_names, fit.std_errors)},
         "residual_norm": float(fit.residual_norm),
         "converged": fit.converged,
         "iterations": int(fit.iterations),

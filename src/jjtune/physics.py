@@ -35,7 +35,6 @@ __all__ = [
     "max_resistance",
     "linearized_shift",
     "barrier_resistance",
-    "BARRIER_FIT_NAMES",
     "fit_barrier",
 ]
 
@@ -68,7 +67,6 @@ class _BarrierModelParams:
 
 DEFAULT_MATERIAL = _MaterialParams()
 DEFAULT_BARRIER = _BarrierModelParams()
-BARRIER_FIT_NAMES = ("prefactor_ohm_um2", "tau_barrier_nm")  # fit_barrier's
 
 # SI defining constants (exact) and the fixed calibration in joules; the
 # products keep the left-to-right grouping of the formulas they stand in for.
@@ -176,7 +174,8 @@ def fit_barrier(thickness: np.ndarray, area: np.ndarray, resistance: np.ndarray)
     def model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
         return p[0] * np.exp(t / p[1])
 
-    spec = ModelSpec(model, BARRIER_FIT_NAMES, ((1e-12, np.inf), (1e-3, 100.0)))
+    spec = ModelSpec(model, ("prefactor_ohm_um2", "tau_barrier_nm"),
+                     ((1e-12, np.inf), (1e-3, 100.0)))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # polyfit's RankWarning: a poor seed is still a start
         if not (thickness * thickness).sum() > 0.0:  # polyfit divides by the column's norm

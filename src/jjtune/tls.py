@@ -194,9 +194,6 @@ class TlsExtraction:
         return self.defects[0]
 
 
-EXTRACT_PARAM_NAMES = ("f_offset", "coupling_g", "gamma_total", "gamma_1q")
-
-
 def _excess(delta: np.ndarray | float, g: float, gamma: float):
     return 2.0 * gamma * g * g / (gamma * gamma + np.square(delta))
 
@@ -269,17 +266,15 @@ def amplitude_for_shift(target: float, cal: StarkCalibration = StarkCalibration(
     return math.sqrt(reach * reach - _TONE_DETUNING * _TONE_DETUNING) / a
 
 
-def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit the conversion factor A from (amplitude, measured shift) pairs.
+def fit_stark(amplitudes: np.ndarray, shifts: np.ndarray) -> FitResult:
+    """Fit the conversion factor A from measured shifts (Hz) at tone amplitudes.
 
-    The pairs are taken with the tone at its fixed 80 MHz detuning.
+    The shifts are taken with the tone at its fixed 80 MHz detuning.
     """
-    if len(points) < 3:
+    if amplitudes.size < 3:
         raise DomainError("need at least 3 calibration points")
-    amps = np.array([a for a, _ in points], dtype=float)
-    if not amps.any():  # every model value is 0 then, whatever A is
+    if not amplitudes.any():  # every model value is 0 then, whatever A is
         raise DomainError("need a nonzero amplitude to fit the conversion factor")
-    shifts = np.array([s for _, s in points], dtype=float)
     with np.errstate(all="ignore"):  # only the sign of a mean past the float range is read
         sign = -1.0 if float(np.mean(shifts)) < 0 else 1.0
 
@@ -289,8 +284,8 @@ def fit_stark(points: Sequence[tuple[float, float]]) -> FitResult:
     spec = ModelSpec(evaluator=model, parameter_names=("conv_a",), bounds=((1e3, np.inf),))
     top = int(np.argmax(np.abs(shifts)))
     reach = abs(float(shifts[top])) + _TONE_DETUNING  # overflows to inf without a numpy warning
-    a0 = math.sqrt(max(reach * reach - _TONE_DETUNING * _TONE_DETUNING, 1e6)) / max(amps[top], 1e-9)
-    return fit_curve(spec, amps, shifts, [a0])
+    a0 = math.sqrt(max(reach * reach - _TONE_DETUNING * _TONE_DETUNING, 1e6)) / max(amplitudes[top], 1e-9)
+    return fit_curve(spec, amplitudes, shifts, [a0])
 
 
 def _evolve(defect: TlsDefect, offset_now: float, step_s: float, carry: float, rng: np.random.Generator):
@@ -399,7 +394,7 @@ def _fit_one_defect(offsets: np.ndarray, rates: np.ndarray) -> FitResult:
     span = float(offsets.max() - offsets.min())
     spec = ModelSpec(
         evaluator=_rate_model,
-        parameter_names=EXTRACT_PARAM_NAMES,
+        parameter_names=("f_offset", "coupling_g", "gamma_total", "gamma_1q"),
         bounds=(
             (offsets.min() - span, offsets.max() + span),
             (0.0, np.inf),

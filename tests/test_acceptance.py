@@ -77,8 +77,8 @@ def test_c04_dose_fit(tmp_path):
     path = tmp_path / "dose.csv"
     rows = [f"{float(p)!r},{float(s)!r}" for p, s in zip(powers, shifts)]
     path.write_text("power_mw,shift_frac\n" + "\n".join(rows) + "\n")
-    fit, names = _fit_dose(str(path))
-    m_hat = float(fit.params[names.index("plateau_m")])
+    fit = _fit_dose(str(path))
+    m_hat = float(fit.params[fit.parameter_names.index("plateau_m")])
     assert fit.converged
     assert abs(m_hat - 0.018) <= 0.002
     assert m_hat == pytest.approx(0.01792432356432208, rel=1e-9)
@@ -140,11 +140,9 @@ def test_c07_defect_mapping():
 def test_c08_stark_calibration():
     """08 Stark conversion fit within 0.1%; -33 MHz amplitude within 1e-3"""
     cal = jt.StarkCalibration()
-    points = [
-        (float(a), jt.stark_shift(float(a), cal, -1))
-        for a in np.linspace(0.01, 0.18, 12)
-    ]
-    fit = jt.fit_stark(points)
+    amplitudes = np.linspace(0.01, 0.18, 12)
+    shifts = np.array([jt.stark_shift(float(a), cal, -1) for a in amplitudes])
+    fit = jt.fit_stark(amplitudes, shifts)
     assert abs(float(fit.params[0]) - 432e6) / 432e6 <= 1e-3
     amplitude = jt.amplitude_for_shift(-33e6)
     assert abs(amplitude - 0.1847361453956368) <= 1e-3
@@ -236,8 +234,8 @@ def test_c13_barrier_thickness(tmp_path):
     """13 barrier fit tau in [0.16,0.62]; +1 A step multiplies R by ~1.29"""
     path = tmp_path / "barrier.csv"
     path.write_text(BARRIER_CSV)
-    fit, names = _fit_barrier(str(path))
-    tau = float(fit.params[names.index("tau_barrier_nm")])
+    fit = _fit_barrier(str(path))
+    tau = float(fit.params[fit.parameter_names.index("tau_barrier_nm")])
     assert fit.converged
     assert tau == pytest.approx(0.31835334206734994, rel=1e-9)
     assert 0.16 <= tau <= 0.62

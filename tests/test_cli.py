@@ -283,6 +283,20 @@ class TestFit:
         assert main(["--output", str(out), "fit", "aging", data, "--cohort", "annealed"]) == 0
         assert report_doc(out)["params"]["tau_days"] == pytest.approx(W1A.tau_days, rel=1e-6)
 
+    def test_aging_empty_wafer_cell_is_selected_by_an_empty_filter(self, tmp_path, capsys):
+        lines = ["junction_id,day,resistance_ohm,cohort,wafer,r0_ohm"]
+        for wafer in ("", "W1"):  # the same series under an empty wafer cell and under W1
+            for d in np.linspace(0.0, 30.0, 12).tolist():
+                r = 7781.0 * (1.0 + jt.aging_shift(d, W1A))
+                lines.append(f"JA,{d!r},{r!r},annealed,{wafer},7781.0")
+        data = tmp_path / "aging.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["--output", str(out), "fit", "aging", str(data)]) == 2
+        assert "mixes cohorts (?:annealed, W1:annealed)" in capsys.readouterr().err
+        assert main(["--output", str(out), "fit", "aging", str(data), "--wafer="]) == 0
+        assert report_doc(out)["params"]["tau_days"] == pytest.approx(W1A.tau_days, rel=1e-6)
+
     def test_tls_from_map_csv(self, tmp_path, capsys):
         model = jt.QubitNoiseModel(defects=(jt.TlsDefect(f_offset=7.81e6),))
         sp = jt.simulate_map(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jjtune as jt
+from jjtune import dose
 from jjtune.errors import DomainError, InfeasibleError
 from jjtune.fitkit import ModelSpec, fit_curve
 
@@ -108,10 +109,6 @@ NAN, INF = float("nan"), float("inf")
     lambda: jt.DoseResponseParams(depth_b=NAN),
     lambda: jt.DoseResponseParams(depth_b=-INF),
     lambda: jt.DoseResponseParams(depth_b=-0.01),  # a response that falls as it heats
-    lambda: jt.BeamGeometry(waist=NAN),
-    lambda: jt.BeamGeometry(waist=INF),
-    lambda: jt.BeamGeometry(electrode_extent=NAN),
-    lambda: jt.BeamGeometry(si_reflectance=NAN),
     lambda: jt.DisplacementParams(transfer_amp_a=NAN),
     lambda: jt.DisplacementParams(decay_d0=INF),
     lambda: jt.LasingRecipe(power=NAN),
@@ -164,12 +161,11 @@ def test_displaced_shift_reference():
 
 
 def test_absorption_fraction_limits():
-    beam = jt.BeamGeometry()
-    assert jt.absorption_fraction(0.0) == 1.0 - beam.al_reflectance
-    assert jt.absorption_fraction(30.0) == 1.0 - beam.si_reflectance
+    assert jt.absorption_fraction(0.0) == 1.0 - dose._AL_REFLECTANCE
+    assert jt.absorption_fraction(30.0) == 1.0 - dose._SI_REFLECTANCE
     # beam centered on the electrode edge: 50/50 metal and substrate
-    half = 0.5 * (1.0 - beam.al_reflectance) + 0.5 * (1.0 - beam.si_reflectance)
-    assert jt.absorption_fraction(beam.electrode_extent) == pytest.approx(half, rel=1e-15)
+    half = 0.5 * (1.0 - dose._AL_REFLECTANCE) + 0.5 * (1.0 - dose._SI_REFLECTANCE)
+    assert jt.absorption_fraction(dose._ELECTRODE_EXTENT) == pytest.approx(half, rel=1e-15)
     with pytest.raises(DomainError):
         jt.absorption_fraction(-0.1)
 

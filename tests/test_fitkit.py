@@ -123,6 +123,16 @@ def test_non_finite_start_carries_no_fit():
     assert info.value.fit is None
 
 
+def test_a_fit_and_a_partial_fit_carry_the_spec_names():
+    x = np.linspace(0.0, 30.0, 12)
+    fit = fit_curve(EXP_SPEC, x, _exp_model(np.array([0.21, 0.12, 10.4]), x), [0.3, 0.3, 5.0])
+    assert fit.parameter_names == ("a", "b", "tau")
+    spec, data = _overflowing_fit()
+    with pytest.raises(FitEvaluationError) as info:
+        fit_curve(spec, *data, [70.0, 100.0])
+    assert info.value.fit.parameter_names == ("a", "tau")
+
+
 def test_bounds_clamp_start_and_steps():
     spec = ModelSpec(lambda p, x: p[0] * x, ("slope",), bounds=((0.0, 2.0),))
     x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -555,8 +555,9 @@ class TestDerivedDocs:
         ("step_tolerance", True), ("stalled", True), ("max_iterations", False), ("non_finite", False),
     ])
     def test_fit_report_structure(self, termination, converged):
-        fit = FitResult(np.array([0.018, 28.0]), np.array([1e-4, 0.5]), 0.01, 7, termination)
-        doc = jio.fit_report_doc("dose", ("m", "t0"), fit)
+        fit = FitResult(("m", "t0"), np.array([0.018, 28.0]), np.array([1e-4, 0.5]), 0.01, 7,
+                        termination)
+        doc = jio.fit_report_doc("dose", fit)
         assert doc == {
             "model": "dose",
             "params": {"m": 0.018, "t0": 28.0},

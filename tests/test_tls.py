@@ -183,41 +183,41 @@ class TestStark:
     def test_fit_recovers_clean_conversion(self):
         cal = jt.StarkCalibration()
         amps = np.linspace(0.01, 0.18, 12)
-        pts = [(float(a), jt.stark_shift(float(a), cal, -1)) for a in amps]
-        fit = jt.fit_stark(pts)
+        shifts = np.array([jt.stark_shift(float(a), cal, -1) for a in amps])
+        fit = jt.fit_stark(amps, shifts)
         assert fit.converged
         assert float(fit.params[0]) == pytest.approx(432e6, rel=1e-9)
 
     def test_fit_positive_side(self):
         cal = jt.StarkCalibration()
         amps = np.linspace(0.01, 0.18, 12)
-        pts = [(float(a), jt.stark_shift(float(a), cal, 1)) for a in amps]
-        fit = jt.fit_stark(pts)
+        shifts = np.array([jt.stark_shift(float(a), cal, 1) for a in amps])
+        fit = jt.fit_stark(amps, shifts)
         assert float(fit.params[0]) == pytest.approx(416e6, rel=1e-12)
 
     def test_fit_with_percent_level_noise(self):
         cal = jt.StarkCalibration()
         rng = np.random.default_rng(7)
         amps = np.linspace(0.01, 0.18, 12)
-        pts = [
-            (float(a), jt.stark_shift(float(a), cal, -1) * (1 + 0.01 * float(rng.standard_normal())))
+        shifts = np.array([
+            jt.stark_shift(float(a), cal, -1) * (1 + 0.01 * float(rng.standard_normal()))
             for a in amps
-        ]
-        fit = jt.fit_stark(pts)
+        ])
+        fit = jt.fit_stark(amps, shifts)
         assert float(fit.params[0]) == pytest.approx(432328546.2498065, rel=1e-9)
         assert abs(float(fit.params[0]) - 432e6) / 432e6 < 0.01
 
     def test_fit_needs_three_points(self):
         with pytest.raises(DomainError):
-            jt.fit_stark([(0.01, -1e5), (0.02, -4e5)])
+            jt.fit_stark(np.array([0.01, 0.02]), np.array([-1e5, -4e5]))
 
     def test_fit_refuses_amplitudes_all_zero(self):
         with pytest.raises(DomainError, match="need a nonzero amplitude"):
-            jt.fit_stark([(0.0, -1e5), (0.0, -2e5), (0.0, -3e5)])
+            jt.fit_stark(np.zeros(3), np.array([-1e5, -2e5, -3e5]))
 
     def test_fit_of_equal_nonzero_amplitudes_identifies_the_factor(self):
         cal = jt.StarkCalibration()
-        fit = jt.fit_stark([(0.1, jt.stark_shift(0.1, cal, -1))] * 3)
+        fit = jt.fit_stark(np.full(3, 0.1), np.full(3, jt.stark_shift(0.1, cal, -1)))
         assert fit.converged
         assert float(fit.params[0]) == pytest.approx(432e6, rel=1e-9)
 
@@ -401,7 +401,7 @@ class TestExtraction:
             jt.extract_tls(OFFSETS, np.full(OFFSETS.size, 0.5), wait)
 
     def test_persistent_is_read_from_the_defects(self):
-        fit = jt.FitResult(np.zeros(4), np.zeros(4), 0.0, 1, "stalled")
+        fit = jt.FitResult(("a", "b", "c", "d"), np.zeros(4), np.zeros(4), 0.0, 1, "stalled")
         assert jt.TlsExtraction(defects=(fit,)).persistent is True
         assert jt.TlsExtraction(defects=()).persistent is False
 
@@ -471,6 +471,20 @@ def test_every_survey_defect_recovered_when_the_count_is_known(n_defects, seed):
     found = np.array([float(d.params[0]) for d in ex.defects])
     for f in centres:
         assert np.min(np.abs(found - f)) <= 0.1e6
+
+
+# At max_defects=6 these two maps report no defect at all: the sweeps merge
+# the candidates and the last step drops every one that is not significant
+# (extract_tls's "found = survivors" branch, which no other test reaches).
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP G/D: the sequential sweeps lose every seeded defect on these maps"))
+@pytest.mark.parametrize("n_defects, seed", [(3, 5), (4, 2)])
+def test_survey_defects_recovered_past_the_count(n_defects, seed):
+    offsets, profile, centres = _survey_map(n_defects, seed)
+    ex = jt.extract_tls(offsets, profile, WAIT, max_defects=6)
+    found = np.array([float(d.params[0]) for d in ex.defects])
+    for f in centres:
+        assert np.any(np.abs(found - f) <= 0.1e6)
 
 
 @pytest.mark.parametrize("max_defects", [0, -3])
