@@ -109,6 +109,10 @@ NAN, INF = float("nan"), float("inf")
     lambda: jt.DoseResponseParams(depth_b=NAN),
     lambda: jt.DoseResponseParams(depth_b=-INF),
     lambda: jt.DoseResponseParams(depth_b=-0.01),  # a response that falls as it heats
+    lambda: jt.DoseResponseParams(char_temperature_t0=NAN),
+    lambda: jt.DoseResponseParams(char_exposure_u0=0.0),
+    lambda: jt.DisplacementParams(transfer_offset_b=NAN),
+    lambda: jt.DisplacementParams(transfer_offset_b=INF),
     lambda: jt.DisplacementParams(transfer_amp_a=NAN),
     lambda: jt.DisplacementParams(decay_d0=INF),
     lambda: jt.LasingRecipe(power=NAN),
