@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fitkit import FitResult, ModelSpec, _distinct_count, fit_curve
+from .fitkit import FitResult, ModelSpec, _check_lengths, _distinct_count, fit_curve
 
 __all__ = [
     "AgingParams",
@@ -128,6 +128,7 @@ def fit_aging_samples(days: Sequence[float], shifts: Sequence[float]) -> FitResu
     """
     t = np.asarray(list(days), dtype=float)
     y = np.asarray(list(shifts), dtype=float)
+    _check_lengths(t, y)
     if _distinct_count(t) < 4:
         raise DomainError("need at least 4 distinct sample days to fit aging")
     order = np.argsort(t, kind="stable")

@@ -219,8 +219,9 @@ def mean_shift_vs_temperature(
 def fit_dose_curve(powers: np.ndarray, shifts: np.ndarray) -> FitResult:
     """Fit ``mean_shift_vs_temperature``'s (m, b, T0) to saturated shifts vs power
     (mW) at the default heating, from m = the top shift, b = 2 m and T0 = 30 degC."""
-    from .fitkit import ModelSpec, fit_curve
+    from .fitkit import ModelSpec, _check_lengths, fit_curve
 
+    _check_lengths(powers, shifts)
     heating = HeatingParams()
 
     def model(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -277,8 +278,9 @@ def displacement_response(
 def fit_displacement_curve(displacement: np.ndarray, response: np.ndarray) -> FitResult:
     """Fit ``displacement_response`` as scale * absorption * (exp(-D / D0) + B / A)
     vs D (um), from the top response / 0.37, D0 = 10 um and B / A = 0.002."""
-    from .fitkit import ModelSpec, fit_curve
+    from .fitkit import ModelSpec, _check_lengths, fit_curve
 
+    _check_lengths(displacement, response)
     absorbed = np.array([absorption_fraction(v) for v in displacement.tolist()])
 
     def model(p: np.ndarray, d: np.ndarray) -> np.ndarray:

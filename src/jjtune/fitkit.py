@@ -96,6 +96,13 @@ def _evaluate(model: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_lengths(*columns) -> None:
+    """Refuse a fitter's data arrays unless they are all the same length."""
+    sizes = [np.size(column) for column in columns]
+    if len(set(sizes)) > 1:
+        raise DomainError(f"data arrays must be the same length, got lengths {sizes}")
+
+
 def _distinct_count(values: np.ndarray) -> int:
     """``np.unique(values).size``: NaNs count as one value and -0.0 equals 0.0.
     It sorts and compares, since ``np.unique`` imports ``numpy.ma`` to do it."""

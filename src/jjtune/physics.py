@@ -161,8 +161,9 @@ def fit_barrier(thickness: np.ndarray, area: np.ndarray, resistance: np.ndarray)
     thicknesses whose squares all underflow, are refused."""
     import numpy as np
 
-    from .fitkit import ModelSpec, fit_curve
+    from .fitkit import ModelSpec, _check_lengths, fit_curve
 
+    _check_lengths(thickness, area, resistance)
     with np.errstate(all="ignore"):
         resistance_area = area * resistance
     for row, (a, r, ra) in enumerate(zip(area.tolist(), resistance.tolist(),

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FitEvaluationError
-from .fitkit import FitResult, ModelSpec, _distinct_count, fit_curve
+from .fitkit import FitResult, ModelSpec, _check_lengths, _distinct_count, fit_curve
 
 __all__ = [
     "StaticDynamics",
@@ -271,6 +271,7 @@ def fit_stark(amplitudes: np.ndarray, shifts: np.ndarray) -> FitResult:
 
     The shifts are taken with the tone at its fixed 80 MHz detuning.
     """
+    _check_lengths(amplitudes, shifts)
     if amplitudes.size < 3:
         raise DomainError("need at least 3 calibration points")
     if not amplitudes.any():  # every model value is 0 then, whatever A is

@@ -14,9 +14,13 @@ per junction so results do not depend on processing order.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import BinaryIO, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +53,7 @@ _QC_THRESHOLD = 0.97
 QcStatus = Literal["passed", "excluded"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JunctionRecord:
     """One junction on the wafer, addressed by design coordinates (um)."""
 
@@ -203,6 +207,86 @@ def qc_gate(result: AlignmentResult) -> QcStatus:
     return "passed" if result.qc_score >= _QC_THRESHOLD else "excluded"
 
 
+def _anneal_rows(
+    junctions: Sequence[JunctionRecord],
+    recipe: LasingRecipe,
+    master_seed: int,
+    stage_noise: StageNoise,
+    model: DoseModel,
+) -> list[tuple[str, float, float, QcStatus, float]]:
+    """``run_batch``'s rows for ``junctions``, in their order, as plain tuples."""
+    from .streams import stream_rngs  # here, so that a wafer's reader loads no hashlib
+
+    rows = []
+    for junction, rng in zip(junctions, stream_rngs(master_seed, [j.id for j in junctions])):
+        eps_center, eps_focus, eps_shot = rng.standard_normal(3).tolist()
+        centering, focus = _visit_errors(eps_center, eps_focus, stage_noise)
+        r_before = junction.resistance
+        if alignment_score(centering, focus, stage_noise) >= _QC_THRESHOLD:
+            mu = mean_shift(recipe, model, beam_offset=centering)
+            shift = realized_shift(mu, eps_shot, model.stochastic)
+            rows.append((junction.id, r_before, r_before * (1.0 + shift), "passed", shift))
+        else:
+            rows.append((junction.id, r_before, r_before, "excluded", 0.0))
+    return rows
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(junctions: Sequence[JunctionRecord], args: tuple) -> tuple[int, BinaryIO] | None:
+    """Fork a worker that pickles ``_anneal_rows(junctions, *args)``, or the
+    exception it raised, into a pipe: its pid and the pipe's read end, or
+    None if the fork failed. The worker leaves through ``os._exit``, with
+    status 0 only once its whole result is written."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the worker: never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, _anneal_rows(junctions, *args))
+            except Exception as exc:  # raised again in the parent
+                result = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _worker_rows(pid: int, pipe: BinaryIO) -> list | None:
+    """Read and reap a worker: its rows, or None if it ended without a
+    result. The exception a worker raised is raised here."""
+    data = pipe.read()
+    if os.waitpid(pid, 0)[1] != 0 or not data:
+        return None
+    ok, payload = pickle.loads(data)  # bytes only this module's worker wrote
+    if not ok:
+        raise payload
+    return payload
+
+
+def _stop_worker(pid: int, pipe: BinaryIO) -> None:
+    """Close a worker's pipe, and kill and reap it unless it was reaped."""
+    pipe.close()
+    with contextlib.suppress(ChildProcessError):  # reaped by ``_worker_rows``
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_batch(
     wafer: WaferLayout,
     recipe: LasingRecipe,
@@ -220,21 +304,35 @@ def run_batch(
     bit-identical under any processing order of the input. A wafer on which
     an annealed resistance overflows to infinity is refused, naming the
     first such junction by id.
+
+    Where ``os.fork`` exists, the junctions are split into contiguous slices
+    of whole ``streams.CHUNK``s, one per available CPU at most, and every
+    slice but the first is annealed in a forked worker process. Each
+    junction's stream depends only on the seed and its id, so the report
+    does not depend on the number of processes. A worker's exception is
+    raised here; a slice whose worker could not be forked, or ended without
+    a result, is annealed in this process. No worker outlives the call.
     """
-    from .streams import stream_rngs  # here, so that a wafer's reader loads no hashlib
+    from .streams import CHUNK
 
     junctions = wafer.junctions
-    rows = []
-    for junction, rng in zip(junctions, stream_rngs(master_seed, [j.id for j in junctions])):
-        eps_center, eps_focus, eps_shot = rng.standard_normal(3).tolist()
-        centering, focus = _visit_errors(eps_center, eps_focus, stage_noise)
-        r_before = junction.resistance
-        if alignment_score(centering, focus, stage_noise) >= _QC_THRESHOLD:
-            mu = mean_shift(recipe, model, beam_offset=centering)
-            shift = realized_shift(mu, eps_shot, model.stochastic)
-            rows.append(BatchRow(junction.id, r_before, r_before * (1.0 + shift), "passed", shift))
-        else:
-            rows.append(BatchRow(junction.id, r_before, r_before, "excluded", 0.0))
+    n_chunks = -(-len(junctions) // CHUNK)
+    n_slices = max(1, min(_available_cpus(), n_chunks)) if hasattr(os, "fork") else 1
+    bounds = [min(CHUNK * (n_chunks * k // n_slices), len(junctions)) for k in range(n_slices + 1)]
+    slices = [junctions[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    args = (recipe, master_seed, stage_noise, model)
+    workers: list[tuple[int, BinaryIO] | None] = []
+    try:
+        for part in slices[1:]:
+            workers.append(_fork_worker(part, args))
+        rows = _anneal_rows(slices[0], *args)
+        for part, worker in zip(slices[1:], workers):
+            part_rows = None if worker is None else _worker_rows(*worker)
+            rows += _anneal_rows(part, *args) if part_rows is None else part_rows
+    finally:
+        for worker in filter(None, workers):
+            _stop_worker(*worker)
+    rows = list(map(BatchRow._make, rows))
     rows.sort(key=lambda row: row.id)
     overflowed = next((row for row in rows if not row.r_after < math.inf), None)
     if overflowed is not None:

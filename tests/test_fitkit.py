@@ -297,3 +297,22 @@ def test_one_distinct_value_is_refused_with_each_callers_message(tmp_path, capsy
                                        "in column 'power_mw' to fit dose\n")
     assert main(["--output", out, "fit", "aging", str(aging)]) == 2
     assert capsys.readouterr().err == "input error: need at least 4 distinct sample days to fit aging\n"
+
+
+@pytest.mark.parametrize(
+    ("fitter", "columns", "sizes"),
+    [
+        (jt.fit_stark, ([0.1, 0.2, 0.3], [-1e5, -2e5, -3e5, -4e5]), [3, 4]),
+        (jt.fit_dose_curve, ([10.0, 20.0, 30.0], [0.01, 0.02, 0.03, 0.04]), [3, 4]),
+        (jt.fit_displacement_curve, ([0.0, 1.0, 2.0, 3.0], [0.01, 0.02, 0.03]), [4, 3]),
+        (jt.fit_barrier, ([1.0, 1.2, 1.4], [0.1] * 4, [8e3, 9e3, 1e4]), [3, 4, 3]),
+        (jt.fit_aging_samples, ([0.0, 10.0, 20.0, 30.0, 40.0], [0.0, 0.01, 0.02, 0.025]), [5, 4]),
+        # One shift too many was fitted against the days it was sorted by.
+        (jt.fit_aging_samples, ([0.0, 10.0, 20.0, 30.0], [0.0, 0.01, 0.02, 0.025, 0.03]), [4, 5]),
+    ],
+    ids=["stark", "dose", "displacement", "barrier", "aging-short", "aging-long"],
+)
+def test_every_library_fitter_refuses_arrays_of_unequal_length(fitter, columns, sizes):
+    with pytest.raises(DomainError) as info:
+        fitter(*(np.array(column) for column in columns))
+    assert str(info.value) == f"data arrays must be the same length, got lengths {sizes}"

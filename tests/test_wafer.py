@@ -1,8 +1,11 @@
 """Wafer registration, alignment QC, and order-independent batch anneals."""
 
 import dataclasses
+import errno
 import json
 import math
+import os
+import signal
 from collections import Counter
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 
 import jjtune as jt
 import jjtune.io as jio
+import jjtune.wafer as jwafer
+from jjtune.cli import main
 from jjtune.dose import DoseModel, StochasticParams
 from jjtune.errors import DomainError
 from jjtune.streams import CHUNK, child_rng
@@ -270,6 +275,120 @@ class TestBatch:
                 )
             else:
                 assert (row.r_after, row.shift_frac) == (junction.resistance, 0.0)
+
+
+HARSH = jt.StageNoise(sigma_center=0.3, sigma_focus=0.12)
+
+
+@pytest.fixture(scope="module")
+def three_chunk_wafer():
+    wafer = jt.synthesize_wafer("WP", 46, 46, 50.0, 7800.0, 0.01, seed=8)
+    assert 2 * CHUNK < len(wafer.junctions) <= 3 * CHUNK
+    return wafer
+
+
+def _report_texts(report):
+    lines = []
+    text = "".join(jio.batch_report_json(report, lines))
+    return text, "".join(lines)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(jwafer, "_available_cpus", lambda: count)
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("order", [1, -1], ids=["file-order", "reversed"])
+    def test_report_bytes_do_not_depend_on_the_process_count(self, monkeypatch, three_chunk_wafer, order):
+        wafer = dataclasses.replace(three_chunk_wafer, junctions=three_chunk_wafer.junctions[::order])
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        texts = {}
+        for cpus in (1, 2, 3, 8):
+            _cpus(monkeypatch, cpus)
+            forks.clear()
+            texts[cpus] = _report_texts(jt.run_batch(wafer, jt.DEFAULT_RECIPE, 21, HARSH))
+            assert len(forks) == min(cpus, 3) - 1
+            _assert_no_child_left()
+        assert texts[1] == texts[2] == texts[3] == texts[8]
+
+    def test_a_worker_error_reaches_the_caller_and_the_cli_exits_2(
+        self, monkeypatch, three_chunk_wafer, tmp_path, capsys
+    ):
+        parent = os.getpid()
+        realized_shift = jwafer.realized_shift
+
+        def refused_in_a_worker(mu, eps, stochastic):
+            if os.getpid() != parent:
+                raise DomainError("shot refused in a worker")
+            return realized_shift(mu, eps, stochastic)
+
+        monkeypatch.setattr(jwafer, "realized_shift", refused_in_a_worker)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(DomainError, match="^shot refused in a worker$"):
+            jt.run_batch(three_chunk_wafer, jt.DEFAULT_RECIPE, 21)
+        _assert_no_child_left()
+        wafer_path, recipe_path = tmp_path / "wafer.json", tmp_path / "recipe.json"
+        jio.write_json(str(wafer_path), jio.wafer_to_doc(three_chunk_wafer))
+        jio.write_json(str(recipe_path), jio.recipe_to_doc(jt.DEFAULT_RECIPE))
+        out = tmp_path / "out"
+        assert main(["--seed", "21", "--output", str(out), "simulate-wafer",
+                     str(wafer_path), str(recipe_path)]) == 2
+        assert capsys.readouterr().err == "input error: shot refused in a worker\n"
+        assert not out.exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["exits-without-result", "killed", "fork-fails"])
+    def test_a_slice_without_a_worker_result_is_annealed_here(
+        self, monkeypatch, three_chunk_wafer, failure
+    ):
+        _cpus(monkeypatch, 1)
+        serial = _report_texts(jt.run_batch(three_chunk_wafer, jt.DEFAULT_RECIPE, 21, HARSH))
+        parent = os.getpid()
+        anneal_rows = jwafer._anneal_rows
+
+        def lost_in_a_worker(*args):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return anneal_rows(*args)
+
+        def failed_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        if failure == "fork-fails":
+            monkeypatch.setattr(os, "fork", failed_fork)
+        else:
+            monkeypatch.setattr(jwafer, "_anneal_rows", lost_in_a_worker)
+        _cpus(monkeypatch, 3)
+        report = jt.run_batch(three_chunk_wafer, jt.DEFAULT_RECIPE, 21, HARSH)
+        assert _report_texts(report) == serial
+        _assert_no_child_left()
+
+    def test_a_wafer_of_one_chunk_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a wafer of one chunk forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 8)
+        wafer = jt.synthesize_wafer("WO", 32, 32, 50.0, 7800.0, 0.01, seed=8)
+        assert len(wafer.junctions) == CHUNK
+        report = jt.run_batch(wafer, jt.DEFAULT_RECIPE, 21, HARSH)
+        assert [row.id for row in report.entries] == sorted(j.id for j in wafer.junctions)
 
 
 class TestChildStreams:
