@@ -14,7 +14,6 @@ per junction so results do not depend on processing order.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import pickle
@@ -270,7 +269,9 @@ def _worker_rows(pid: int, pipe: BinaryIO) -> list | None:
     """Read and reap a worker: its rows, or None if it ended without a
     result. The exception a worker raised is raised here."""
     data = pipe.read()
-    if os.waitpid(pid, 0)[1] != 0 or not data:
+    status = os.waitpid(pid, 0)[1]
+    pipe.close()  # tells ``_stop_worker`` that this worker is reaped
+    if status != 0 or not data:
         return None
     ok, payload = pickle.loads(data)  # bytes only this module's worker wrote
     if not ok:
@@ -279,12 +280,11 @@ def _worker_rows(pid: int, pipe: BinaryIO) -> list | None:
 
 
 def _stop_worker(pid: int, pipe: BinaryIO) -> None:
-    """Close a worker's pipe, and kill and reap it unless it was reaped."""
-    pipe.close()
-    with contextlib.suppress(ChildProcessError):  # reaped by ``_worker_rows``
-        if os.waitpid(pid, os.WNOHANG) == (0, 0):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    """Kill and reap a worker that ``_worker_rows`` has not reaped."""
+    if not pipe.closed:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def run_batch(
