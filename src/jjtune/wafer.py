@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from typing import BinaryIO, Literal, NamedTuple, Sequence
 
@@ -231,6 +230,7 @@ def _anneal_rows(
 
 
 def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -282,6 +282,8 @@ def _worker_rows(pid: int, pipe: BinaryIO) -> list | None:
 def _stop_worker(pid: int, pipe: BinaryIO) -> None:
     """Kill and reap a worker that ``_worker_rows`` has not reaped."""
     if not pipe.closed:
+        import signal  # here, so that a run whose workers all report loads no signal
+
         pipe.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
