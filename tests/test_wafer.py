@@ -393,6 +393,13 @@ class TestWorkerProcesses:
         report = jt.run_batch(wafer, jt.DEFAULT_RECIPE, 21, HARSH)
         assert [row.id for row in report.entries] == sorted(j.id for j in wafer.junctions)
 
+    def test_without_os_fork_the_caller_anneals_the_whole_wafer(self, monkeypatch, three_chunk_wafer):
+        _cpus(monkeypatch, 1)
+        serial = _report_texts(jt.run_batch(three_chunk_wafer, jt.DEFAULT_RECIPE, 21, HARSH))
+        monkeypatch.delattr(os, "fork")
+        _cpus(monkeypatch, 8)
+        assert _report_texts(jt.run_batch(three_chunk_wafer, jt.DEFAULT_RECIPE, 21, HARSH)) == serial
+
 
 class TestChildStreams:
     def test_same_key_same_stream(self):
