@@ -236,9 +236,32 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- tune
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _tune_slice(jobs, by_id, seed, policy, model, csv) -> tuple:
+    """Tune the ``(id, target)`` jobs, in order, each on its own stream: their
+    ``traces.json`` item texts, their ``traces.csv`` lines (or None without
+    ``csv``) and the counts of their summary, as ``streams._in_workers`` runs it."""
     from .dose import JunctionState
     from .streams import stream_rngs
+
+    ids = [jid for jid, _ in jobs]
+    traces = [
+        iterative_tune(
+            JunctionState(resistance=by_id[jid].resistance),
+            target,
+            policy=policy,
+            model=model,
+            rng=rng,
+            junction_id=jid,
+        )
+        for (jid, target), rng in zip(jobs, stream_rngs(seed, ids))
+    ]
+    lines: list[str] | None = [] if csv else None
+    items = [jio._trace_text(trace, lines) for trace in traces]
+    return items, lines, jio._trace_counts(traces)
+
+
+def _cmd_tune(args: argparse.Namespace) -> int:
+    from .streams import _in_workers
     from .tuner import TunePolicy
 
     wafer = jio.wafer_from_doc(jio.load_json(args.wafer))
@@ -254,22 +277,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         model = replace(
             model, stochastic=replace(model.stochastic, relative_sigma=args.shot_noise_sigma)
         )
-    traces = [
-        iterative_tune(
-            JunctionState(resistance=by_id[jid].resistance),
-            target,
-            policy=policy,
-            model=model,
-            rng=rng,
-            junction_id=jid,
-        )
-        for jid, target, rng in zip(ids, targets, stream_rngs(seed, ids))
-    ]
+    parts = _in_workers(_tune_slice, list(zip(ids, targets)), by_id, seed, policy, model,
+                        args.format == "csv")
+    summary = jio._counts_summary(*map(sum, zip(*(counts for _, _, counts in parts))))
     directory = args.output or "."
-    lines: list[str] | None = [] if args.format == "csv" else None
-    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio.traces_json(traces, lines))
-    summary = jio.traces_summary(traces)
-    if lines is not None:
+    items = (text for texts, _, _ in parts for text in texts)
+    jio.atomic_write_text(os.path.join(directory, "traces.json"), jio._traces_pieces(summary, items))
+    if args.format == "csv":
+        lines = [jio._TRACES_CSV_HEADER]
+        for _, part_lines, _ in parts:
+            lines += part_lines
         jio.atomic_write_text(os.path.join(directory, "traces.csv"), lines)
     print(
         f"tuned {summary['n_junctions']}: {summary['n_converged']} converged, "

@@ -750,21 +750,69 @@ def traces_to_doc(traces: Sequence[TuneTrace]) -> dict:
     return {"summary": traces_summary(traces), "traces": rendered}
 
 
-def traces_summary(traces: Sequence[TuneTrace]) -> dict:
-    """The ``summary`` object of ``traces_to_doc(traces)``."""
+def _trace_counts(traces: Sequence[TuneTrace]) -> tuple[int, int, int, int, int]:
+    """The traces' ``(n, converged, overshoot, exhausted, anneals)``: what
+    ``_counts_summary`` needs, summable over slices of the traces."""
     outcomes = {"converged": 0, "overshoot": 0, "exhausted": 0}
     for trace in traces:
         outcomes[trace.outcome] += 1
     anneals = sum(trace.n_anneals for trace in traces)
-    n = max(len(traces), 1)
+    return len(traces), outcomes["converged"], outcomes["overshoot"], outcomes["exhausted"], anneals
+
+
+def _counts_summary(n: int, converged: int, overshoot: int, exhausted: int, anneals: int) -> dict:
+    """The ``summary`` object of traces with these counts."""
+    per = max(n, 1)
     return {
-        "n_junctions": len(traces),
-        "n_converged": outcomes["converged"],
-        "n_overshoot": outcomes["overshoot"],
-        "n_exhausted": outcomes["exhausted"],
-        "convergence_fraction": outcomes["converged"] / n,
-        "mean_anneals": anneals / n,
+        "n_junctions": n,
+        "n_converged": converged,
+        "n_overshoot": overshoot,
+        "n_exhausted": exhausted,
+        "convergence_fraction": converged / per,
+        "mean_anneals": anneals / per,
     }
+
+
+def traces_summary(traces: Sequence[TuneTrace]) -> dict:
+    """The ``summary`` object of ``traces_to_doc(traces)``."""
+    return _counts_summary(*_trace_counts(traces))
+
+
+_TRACES_CSV_HEADER = "junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n"
+
+
+def _trace_text(trace: TuneTrace, csv_lines: list[str] | None) -> str:
+    """The trace's item text in ``traces.json``; with ``csv_lines`` a list,
+    its ``traces.csv`` lines are appended to it, each value formatted once for both."""
+    if csv_lines is not None:
+        jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
+    texts = []
+    for k, it in enumerate(trace.iterations):
+        recipe, shift = it.recipe, it.sampled_shift
+        measured, inferred = str(it.measured_r), str(it.inferred_f / 1e9)
+        power, exposure = ("", "null") if recipe is None else (
+            str(recipe.power), _number(recipe.exposure))
+        shift = "" if shift is None else str(shift)
+        if csv_lines is not None:
+            csv_lines.append(f"{jid},{k},{measured},{inferred},{power},{shift},{outcome}\n")
+        texts.append(
+            f'{{\n          "exposure_s": {exposure},\n'
+            f'          "inferred_f_ghz": {_WORDS(inferred, inferred)},\n'
+            f'          "measured_r_ohm": {_WORDS(measured, measured)},\n'
+            f'          "power_mw": {_WORDS(power, power) or "null"},\n'
+            f'          "sampled_shift": {_WORDS(shift, shift) or "null"}\n        }}'
+        )
+    return (
+        f'{{\n      "f_target_ghz": {_number(trace.target_f / 1e9)},\n'
+        f'      "final_resistance_ohm": {_number(trace.final_resistance)},\n'
+        f'      "iterations": {_nested(texts)},\n      "junction_id": {_text(trace.junction_id)},\n'
+        f'      "n_anneals": {trace.n_anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
+    )
+
+
+def _traces_pieces(summary: dict, items: Iterator[str]) -> Iterator[str]:
+    """``traces.json`` in pieces, from its summary and its traces' item texts."""
+    return _json_list({"summary": summary, "traces": None}, "traces", items)
 
 
 def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None) -> Iterator[str]:
@@ -775,37 +823,10 @@ def traces_json(traces: Sequence[TuneTrace], csv_lines: list[str] | None = None)
     Ids and outcomes must be ``str`` and numbers ``float`` or ``int`` (or
     ``None`` where ``TuneIteration`` allows it): each number is written as its
     unchecked ``str``, so a value of another type may not match ``traces_to_doc``."""
-    def item(trace) -> str:
-        if csv_lines is not None:
-            jid, outcome = _csv_field(trace.junction_id), _csv_field(trace.outcome)
-        texts = []
-        for k, it in enumerate(trace.iterations):
-            recipe, shift = it.recipe, it.sampled_shift
-            measured, inferred = str(it.measured_r), str(it.inferred_f / 1e9)
-            power, exposure = ("", "null") if recipe is None else (
-                str(recipe.power), _number(recipe.exposure))
-            shift = "" if shift is None else str(shift)
-            if csv_lines is not None:
-                csv_lines.append(f"{jid},{k},{measured},{inferred},{power},{shift},{outcome}\n")
-            texts.append(
-                f'{{\n          "exposure_s": {exposure},\n'
-                f'          "inferred_f_ghz": {_WORDS(inferred, inferred)},\n'
-                f'          "measured_r_ohm": {_WORDS(measured, measured)},\n'
-                f'          "power_mw": {_WORDS(power, power) or "null"},\n'
-                f'          "sampled_shift": {_WORDS(shift, shift) or "null"}\n        }}'
-            )
-        return (
-            f'{{\n      "f_target_ghz": {_number(trace.target_f / 1e9)},\n'
-            f'      "final_resistance_ohm": {_number(trace.final_resistance)},\n'
-            f'      "iterations": {_nested(texts)},\n      "junction_id": {_text(trace.junction_id)},\n'
-            f'      "n_anneals": {trace.n_anneals},\n      "outcome": {_text(trace.outcome)}\n    }}'
-        )
-
     if csv_lines is not None:
-        csv_lines.append(
-            "junction_id,iteration,measured_r_ohm,inferred_f_ghz,power_mw,sampled_shift,outcome\n")
-    shell = {"summary": traces_summary(traces), "traces": None}
-    yield from _json_list(shell, "traces", map(item, traces))
+        csv_lines.append(_TRACES_CSV_HEADER)
+    items = (_trace_text(trace, csv_lines) for trace in traces)
+    yield from _traces_pieces(traces_summary(traces), items)
 
 
 def traces_csv(traces: Sequence[TuneTrace]) -> str:

@@ -15,13 +15,20 @@ pool mixed from the master seed alone comes from ``SeedSequence`` once; the
 four key words per id and the state generation then run as uint32 array
 arithmetic over all ids. PCG64's 128-bit ``srandom`` step turns each id's words into the
 generator's ``(state, inc)``.
+
+Since no stream depends on another, a batch can be cut into slices that
+run in separate processes: ``_in_workers`` runs a function over contiguous
+slices of a list, all but the first in forked workers, and gives back the
+results in slice order, the same whatever the process count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
-from typing import Iterator, Sequence
+import os
+import pickle
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,3 +152,97 @@ def child_rng(master_seed: int, stream_id: str) -> np.random.Generator:
     is stable across runs, platforms, and iteration order.
     """
     return next(stream_rngs(master_seed, [stream_id]))
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(fn: Callable, part: Sequence, args: tuple) -> tuple[int, BinaryIO] | None:
+    """Fork a worker that pickles ``fn(part, *args)``, or the exception it
+    raised, into a pipe: its pid and the pipe's read end, or None if the
+    fork failed. The worker leaves through ``os._exit``, with status 0 only
+    once its whole result is written."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the worker: never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, fn(part, *args))
+            except Exception as exc:  # raised again in the caller
+                result = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _worker_result(pid: int, pipe: BinaryIO) -> Any:
+    """Read and reap a worker: its result, or None if it ended without a
+    whole one, which ``_stop_worker`` then reaps. The exception a worker
+    raised is raised here."""
+    try:
+        ok, payload = pickle.load(pipe)  # read as it arrives; only ``_fork_worker``'s worker writes it
+    except (EOFError, pickle.UnpicklingError):  # it wrote nothing, or a part
+        return None
+    status = os.waitpid(pid, 0)[1]
+    pipe.close()  # tells ``_stop_worker`` that this worker is reaped
+    if status != 0:
+        return None
+    if not ok:
+        raise payload
+    return payload
+
+
+def _stop_worker(pid: int, pipe: BinaryIO) -> None:
+    """Kill and reap a worker that ``_worker_result`` has not reaped."""
+    if not pipe.closed:
+        import signal  # here, so that a run whose workers all report loads no signal
+
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _in_workers(fn: Callable, items: Sequence, *args) -> list:
+    """``[fn(part, *args) for part in parts]`` over contiguous slices of
+    ``items`` of near-equal length, in order; ``fn`` must not return None.
+
+    There is one slice per available CPU at most, and one per started
+    ``CHUNK`` of items, so a list of at most ``CHUNK`` items is one slice; where
+    ``os.fork`` does not exist there is one. This process runs the first
+    slice and forked workers the others. A worker's exception is raised
+    here, and as the slices are read in order, an exception is the one the
+    single loop would meet first. A slice whose worker could not be forked,
+    or ended without a result, runs in this process. No worker outlives
+    the call.
+    """
+    n_chunks = -(-len(items) // CHUNK)
+    n_parts = max(1, min(_available_cpus(), n_chunks)) if hasattr(os, "fork") else 1
+    bounds = [len(items) * k // n_parts for k in range(n_parts + 1)]
+    parts = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    workers: list[tuple[int, BinaryIO] | None] = []
+    try:
+        for part in parts[1:]:
+            workers.append(_fork_worker(fn, part, args))
+        results = [fn(parts[0], *args)]
+        for part, worker in zip(parts[1:], workers):
+            result = None if worker is None else _worker_result(*worker)
+            results.append(fn(part, *args) if result is None else result)
+    finally:
+        for worker in filter(None, workers):
+            _stop_worker(*worker)
+    return results

@@ -1,16 +1,23 @@
 """End-to-end CLI behavior: files in, files out, stable exit codes."""
 
 import csv
+import errno
 import gc
 import json
 import math
+import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
 
 import jjtune as jt
+import jjtune.cli as jcli
 import jjtune.io as jio
 from jjtune.cli import main
+from jjtune.errors import DomainError, InfeasibleError
+from jjtune.streams import CHUNK
 
 W1A = jt.REFERENCE_COHORTS["wafer1_annealed"]
 
@@ -1339,3 +1346,174 @@ def test_a_command_runs_with_the_collector_off(tmp_path, monkeypatch, capsys):
     assert main(["--seed", "1", "--output", str(tmp_path / "out"), "simulate-wafer",
                  write_wafer(tmp_path, wafer), write_recipe(tmp_path)]) == 0
     assert seen == [False] and gc.isenabled() is before
+
+
+# ----------------------------------------------------- tune in worker processes
+
+@pytest.fixture(scope="module")
+def three_chunk_plan(tmp_path_factory):
+    """A wafer of more than two stream chunks, with its plan in wafer order
+    and reversed: targets 20-150 MHz down."""
+    directory = tmp_path_factory.mktemp("three-chunk-plan")
+    wafer = jt.synthesize_wafer("WP", 46, 46, 50.0, 7781.0, 0.01, seed=8)
+    assert 2 * CHUNK < len(wafer.junctions) <= 3 * CHUNK
+    wpath = write_wafer(directory, wafer)
+    entries = [
+        {"id": j.id, "f_target_ghz": (jt.qubit_frequency(j.resistance) - (20e6 + 130e6 * (k % 7) / 6)) / 1e9}
+        for k, j in enumerate(wafer.junctions)
+    ]
+    plans = {}
+    for order in (1, -1):
+        plans[order] = str(directory / f"plan{order}.json")
+        jio.write_json(plans[order], {"junctions": entries[::order]})
+    return wpath, plans, [entry["id"] for entry in entries]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr("jjtune.streams._available_cpus", lambda: count)
+
+
+def _tuned(tmp_path, wpath, ppath, name):
+    """``tune --format csv`` into a fresh directory: its exit code and its two files' bytes."""
+    out = tmp_path / name
+    code = main(["--seed", "5", "--output", str(out), "--format", "csv", "tune", wpath, ppath])
+    return code, (out / "traces.json").read_bytes(), (out / "traces.csv").read_bytes()
+
+
+def _slices_tuned_here(monkeypatch, in_a_worker):
+    """The job lists ``_tune_slice`` runs on in this process; a forked worker
+    calls ``in_a_worker()`` before its slice."""
+    parent = os.getpid()
+    tune_slice = jcli._tune_slice
+    here = []
+
+    def counted(jobs, *args):
+        if os.getpid() == parent:
+            here.append(jobs)
+        else:
+            in_a_worker()
+        return tune_slice(jobs, *args)
+
+    monkeypatch.setattr(jcli, "_tune_slice", counted)
+    return here
+
+
+class TestTuneWorkers:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["plan-order", "reversed"])
+    def test_trace_bytes_do_not_depend_on_the_process_count(
+        self, monkeypatch, tmp_path, capsys, three_chunk_plan, order
+    ):
+        wpath, plans, _ = three_chunk_plan
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = {}
+        for cpus in (1, 2, 3, 8):
+            _cpus(monkeypatch, cpus)
+            forks.clear()
+            outputs[cpus] = _tuned(tmp_path, wpath, plans[order], f"cpus{cpus}")
+            assert len(forks) == min(cpus, 3) - 1
+        assert outputs[1] == outputs[2] == outputs[3] == outputs[8]
+        assert outputs[1][0] == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    # Two junctions fail, at plan positions in different slices of 3; the
+    # error is the first one's in plan order, as in a single process.
+    # Two junctions fail, at plan positions in different slices of 3; the
+    # error is the first one's in plan order, as in a single process.
+    @pytest.mark.parametrize("error, code, prefix", [(DomainError, 2, "input error"),
+                                                    (InfeasibleError, 3, "infeasible")])
+    @pytest.mark.parametrize("positions", [(5, 2100), (1000, 2100)],
+                             ids=["first-slice", "worker-slices"])
+    def test_an_error_is_the_serial_runs_and_writes_nothing(
+        self, monkeypatch, tmp_path, capsys, three_chunk_plan, error, code, prefix, positions
+    ):
+        wpath, plans, ids = three_chunk_plan
+        refused = {ids[k] for k in positions}
+        iterative_tune = jcli.iterative_tune
+
+        def refusing(state, target, **kwargs):
+            if kwargs["junction_id"] in refused:
+                raise error(f"junction {kwargs['junction_id']} refused")
+            return iterative_tune(state, target, **kwargs)
+
+        monkeypatch.setattr(jcli, "iterative_tune", refusing)
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            here = _slices_tuned_here(monkeypatch, lambda: None)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["--seed", "5", "--output", str(out), "--format", "csv",
+                         "tune", wpath, plans[1]]) == code
+            assert capsys.readouterr().err == f"{prefix}: junction {ids[positions[0]]} refused\n"
+            assert not out.exists()
+            assert len(here) == 1  # a worker's error came through its pipe
+
+    @pytest.mark.parametrize(
+        "failure", ["exits-without-result", "half-a-pickle", "killed", "fork-fails", "no-fork"]
+    )
+    def test_a_slice_without_a_worker_result_is_tuned_here(
+        self, monkeypatch, tmp_path, capsys, three_chunk_plan, failure
+    ):
+        wpath, plans, _ = three_chunk_plan
+        _cpus(monkeypatch, 1)
+        serial = _tuned(tmp_path, wpath, plans[1], "serial")
+
+        def in_a_worker():
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "exits-without-result":
+                os._exit(0)
+
+        def half_dump(obj, file, protocol):
+            data = pickle.dumps(obj, protocol)
+            file.write(data[: len(data) // 2])
+
+        def failed_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        if failure == "half-a-pickle":
+            monkeypatch.setattr(pickle, "dump", half_dump)
+        elif failure == "fork-fails":
+            monkeypatch.setattr(os, "fork", failed_fork)
+        elif failure == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        _cpus(monkeypatch, 3)
+        here = _slices_tuned_here(monkeypatch, in_a_worker)
+        assert _tuned(tmp_path, wpath, plans[1], "lost") == serial
+        assert [len(jobs) for jobs in here] == ([2116] if failure == "no-fork" else [705, 705, 706])
+
+    def test_a_plan_of_one_chunk_forks_nothing(self, monkeypatch, tmp_path, capsys, three_chunk_plan):
+        wpath, plans, _ = three_chunk_plan
+        plan = json.loads(open(plans[1]).read())
+        ppath = tmp_path / "plan.json"
+        jio.write_json(str(ppath), {"junctions": plan["junctions"][:CHUNK]})
+
+        def no_fork():
+            raise AssertionError("a plan of one chunk forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 8)
+        assert _tuned(tmp_path, wpath, str(ppath), "out")[0] == 0
+        assert f"tuned {CHUNK}: " in capsys.readouterr().out
+
+    def test_an_empty_plan_writes_the_traces_of_no_junction(self, tmp_path, capsys, three_chunk_plan):
+        wpath = three_chunk_plan[0]
+        ppath = tmp_path / "plan.json"
+        jio.write_json(str(ppath), {"junctions": []})
+        code, traces_json, traces_csv = _tuned(tmp_path, wpath, str(ppath), "out")
+        assert code == 0
+        assert traces_json.decode() == "".join(jio.traces_json([]))
+        assert traces_csv.decode() == jio.traces_csv([])

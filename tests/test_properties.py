@@ -298,3 +298,22 @@ def test_fit_aging_recovers_the_storage_curve(final, depth, tau):
                                                                          rel=1e-6, abs=1e-9)
     if doc["std_errors"]["tau_days"] <= fitted["tau_days"]:
         assert fitted["tau_days"] == pytest.approx(tau, rel=1e-6)
+
+
+def _trace(k: int, outcome: str, anneals: int) -> jt.TuneTrace:
+    """A trace of ``anneals`` shots and one final reading."""
+    shot = jt.TuneIteration(7800.0, 5e9, jt.DEFAULT_RECIPE, 0.01)
+    last = jt.TuneIteration(7900.0, 4.9e9, None, None)
+    return jt.TuneTrace(f"J{k}", 4.9e9, (shot,) * anneals + (last,), outcome, 7900.0)
+
+
+# ``tune`` sums the counts of its slices, which may be empty, and builds
+# the summary from the sums.
+@given(st.lists(st.tuples(st.sampled_from(["converged", "overshoot", "exhausted"]),
+                          st.integers(0, 4)), max_size=40),
+       st.lists(st.integers(0, 40), max_size=5))
+def test_the_summary_of_summed_slice_counts_is_the_summary_of_the_traces(outcomes, cuts):
+    traces = [_trace(k, outcome, anneals) for k, (outcome, anneals) in enumerate(outcomes)]
+    bounds = [0, *sorted(min(cut, len(traces)) for cut in cuts), len(traces)]
+    counts = [jio._trace_counts(traces[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    assert jio._counts_summary(*map(sum, zip(*counts))) == jio.traces_summary(traces)

@@ -299,7 +299,7 @@ def _assert_no_child_left():
 
 
 def _cpus(monkeypatch, count):
-    monkeypatch.setattr(jwafer, "_available_cpus", lambda: count)
+    monkeypatch.setattr("jjtune.streams._available_cpus", lambda: count)
 
 
 class TestWorkerProcesses:
