@@ -1497,7 +1497,8 @@ class TestTuneWorkers:
 
     def test_a_plan_of_one_chunk_forks_nothing(self, monkeypatch, tmp_path, capsys, three_chunk_plan):
         wpath, plans, _ = three_chunk_plan
-        plan = json.loads(open(plans[1]).read())
+        with open(plans[1]) as fh:
+            plan = json.load(fh)
         ppath = tmp_path / "plan.json"
         jio.write_json(str(ppath), {"junctions": plan["junctions"][:CHUNK]})
 
